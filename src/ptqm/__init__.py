@@ -1,7 +1,7 @@
 """Numerical toolkit for PT-symmetric quantum mechanics.
 
 Subpackages cover dense complex linear algebra with biorthonormal
-eigensystems, antilinear PT structure, charge-conjugation and metric
+eigensystems, the PT inner product, charge-conjugation and metric
 operators, the unitary equivalence to ordinary Hermitian quantum
 mechanics, closed forms of the 2x2 model, and a finite-difference solver
 verifying spectral reality of p^2 + x^2 (i x)^nu for 0 <= nu < 2.
@@ -31,20 +31,12 @@ from .metric import (
     Metric,
     build_C,
     cpt_inner_product,
+    cpt_system,
     metric_from_CPT,
     metric_from_biorthonormal,
     pt_normalize,
 )
-from .pt import (
-    AntilinearOp,
-    PTPhase,
-    apply_antilinear,
-    classify_pt_phase,
-    commutes_with_antilinear,
-    pt_inner_product,
-    pt_op,
-    time_reversal,
-)
+from .pt import pt_inner_product
 from .spectral import SpectralProblem, SpectrumResult, potential, spectrum, verify_reality
 from .two_level import (
     PARITY,

@@ -24,8 +24,7 @@ import numpy as np
 
 from . import equivalence, metric, spectral, two_level
 from .errors import InvalidInput, NumericalFailure
-from .linalg import DEFAULT_TOL, eig, frobenius, matrix_exponential
-from .metric import build_C, metric_from_CPT, pt_normalize
+from .linalg import DEFAULT_TOL, frobenius, matrix_exponential
 
 
 def _cnum(z: complex) -> dict:
@@ -60,13 +59,16 @@ def _write_output(text: str, path: str | None) -> None:
         raise
 
 
-def _two_level_doc(args) -> str:
+def _model(args):
+    """(params, H, C, eta) of the two-level model named by the arguments."""
     p = two_level.TwoLevelParams(args.r, args.s, args.theta)
     H = two_level.build_H(p)
-    es = eig(H, args.tolerance)
-    vectors, _ = pt_normalize(es, two_level.PARITY, args.tolerance)
-    C = build_C(vectors)
-    eta = metric_from_CPT(C, two_level.PARITY, args.tolerance)
+    _, C, eta = metric.cpt_system(H, two_level.PARITY, args.tolerance)
+    return p, H, C, eta
+
+
+def _two_level_doc(args) -> str:
+    p, H, C, eta = _model(args)
     pair = equivalence.build_equivalence(H, eta, args.tolerance)
     Up = two_level.U_printed(p)
     residual = frobenius(Up.conj().T @ Up - eta.eta)
@@ -94,12 +96,7 @@ def _two_level_doc(args) -> str:
 
 
 def _check_rows(args):
-    p = two_level.TwoLevelParams(args.r, args.s, args.theta)
-    H = two_level.build_H(p)
-    es = eig(H, args.tolerance)
-    vectors, _ = pt_normalize(es, two_level.PARITY, args.tolerance)
-    C = build_C(vectors)
-    eta = metric_from_CPT(C, two_level.PARITY, args.tolerance)
+    p, H, C, eta = _model(args)
     period = math.pi / (p.s * math.cos(p.alpha))
     times = np.linspace(0.0, period, args.steps)
     rows = equivalence.consistency_demo(
@@ -164,11 +161,7 @@ def _evolve_doc(args) -> str:
         raise InvalidInput("steps must be at least 2")
     if args.t_max <= 0:
         raise InvalidInput("t-max must be positive")
-    p = two_level.TwoLevelParams(args.r, args.s, args.theta)
-    H = two_level.build_H(p)
-    es = eig(H, args.tolerance)
-    vectors, _ = pt_normalize(es, two_level.PARITY, args.tolerance)
-    eta = metric_from_CPT(build_C(vectors), two_level.PARITY, args.tolerance)
+    _, H, _, eta = _model(args)
     psi0 = _parse_psi0(args.psi0) if args.psi0 else np.array([1.0 + 0j, 0.0 + 0j])
     lines = ["t,norm_dirac,norm_cpt"]
     for t in np.linspace(0.0, args.t_max, args.steps):

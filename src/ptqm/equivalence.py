@@ -31,14 +31,12 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     as_square_matrix,
-    eig,
     frobenius,
     hermitian_sqrt,
     is_self_adjoint_wrt,
     matrix_exponential,
 )
-from .metric import Metric, build_C, metric_from_CPT, pt_normalize
-from .pt import AntilinearOp
+from .metric import Metric, cpt_system
 
 
 @dataclass(frozen=True)
@@ -97,9 +95,7 @@ def build_equivalence_pt(H, P, tol: float = DEFAULT_TOL) -> EquivalencePair:
     n-th standard basis vector, so h is diagonal with descending entries.
     """
     Hm = as_square_matrix(H, "Hamiltonian")
-    es = eig(Hm, tol)
-    vectors, _ = pt_normalize(es, P, tol)
-    metric = metric_from_CPT(build_C(vectors), P, tol)
+    vectors, _, metric = cpt_system(Hm, P, tol)
     U = np.array([(metric.eta @ phi).conj() for phi in vectors])
     h = U @ Hm @ np.linalg.inv(U)
     return EquivalencePair(U=U, h=h, eta=metric)
@@ -152,9 +148,9 @@ def check_observable_bender(O, C, P, tol: float = DEFAULT_TOL) -> BenderCheck:
         raise DimensionMismatch("operator dimensions differ")
     scale = max(frobenius(Om), 1.0)
     symmetric = frobenius(Om - Om.T) <= tol * scale
-    cpt = AntilinearOp(Cm @ Pm)
-    resid = frobenius(Om @ cpt.matrix_part - cpt.matrix_part @ Om.conj())
-    cpt_invariant = resid <= tol * max(frobenius(Om @ cpt.matrix_part), 1.0)
+    CP = Cm @ Pm
+    resid = frobenius(Om @ CP - CP @ Om.conj())
+    cpt_invariant = resid <= tol * max(frobenius(Om @ CP), 1.0)
     return BenderCheck(symmetric=symmetric, cpt_invariant=cpt_invariant)
 
 

@@ -32,6 +32,7 @@ from .linalg import (
     as_square_matrix,
     as_vector,
     check_metric_matrix,
+    eig,
     frobenius,
 )
 from .pt import pt_inner_product, rephase_to_pt_invariant
@@ -55,7 +56,7 @@ class Metric:
         return self.eta.shape[0]
 
 
-def pt_normalize(es: EigenSystem, P, tol: float = DEFAULT_TOL):
+def pt_normalize(es: EigenSystem, P):
     """PT-normalize the right eigenvectors of ``es``.
 
     Each phi_n is scaled so its PT self-product is exactly +1 or -1 (the
@@ -81,7 +82,7 @@ def pt_normalize(es: EigenSystem, P, tol: float = DEFAULT_TOL):
             )
         sign = 1 if nu.real > 0 else -1
         phi = phi / np.sqrt(abs(nu))
-        phi, ok = rephase_to_pt_invariant(phi, Pm, tol)
+        phi, ok = rephase_to_pt_invariant(phi, Pm)
         if not ok:
             raise NotPTSymmetric(
                 f"eigenvector {n} is not proportional to its PT image "
@@ -129,6 +130,18 @@ def metric_from_CPT(C, P, tol: float = DEFAULT_TOL) -> Metric:
             f"CPT metric has non-positive eigenvalue {w.min():.3e}"
         )
     return Metric(eta)
+
+
+def cpt_system(H, P, tol: float = DEFAULT_TOL):
+    """The chain from (H, P) to the CPT metric: eigendecomposition,
+    PT normalization, C and eta.
+
+    Returns ``(vectors, C, eta)`` with the PT-normalized eigenvectors in
+    the eigenvalue order of :func:`~ptqm.linalg.eig`.
+    """
+    vectors, _ = pt_normalize(eig(H, tol), P)
+    C = build_C(vectors)
+    return vectors, C, metric_from_CPT(C, P, tol)
 
 
 def cpt_inner_product(metric: Metric, psi, phi) -> complex:

@@ -1,65 +1,14 @@
-"""Antilinear operators, PT-symmetry tests, and the indefinite PT inner
-product.
+"""The indefinite PT inner product and PT-invariant rephasing.
 
-An antilinear operator is stored by its matrix part M and acts as
-psi -> M psi*.  Composition of two such operators is the *linear* map
-M N*, and an antilinear A commutes with a linear H exactly when
-H M = M H* (conjugate the commutation relation acting on psi*).
+The PT operation acts as psi -> P psi* for a caller-supplied parity
+matrix P.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionMismatch, NotPTSymmetric
-from .linalg import DEFAULT_TOL, as_square_matrix, as_vector, eig, frobenius
-
-
-@dataclass(frozen=True)
-class AntilinearOp:
-    """Antilinear map psi -> matrix_part @ conj(psi)."""
-
-    matrix_part: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix_part.shape[0]
-
-    def __call__(self, psi) -> np.ndarray:
-        return apply_antilinear(self, psi)
-
-    def compose(self, other: "AntilinearOp") -> np.ndarray:
-        """Matrix of the linear map (self o other): M N*."""
-        return self.matrix_part @ other.matrix_part.conj()
-
-
-def time_reversal(dim: int) -> AntilinearOp:
-    """Plain complex conjugation of vectors."""
-    return AntilinearOp(np.eye(dim, dtype=complex))
-
-
-def pt_op(P) -> AntilinearOp:
-    """The PT operation psi -> P conj(psi) for a caller-supplied parity P."""
-    return AntilinearOp(as_square_matrix(P, "parity"))
-
-
-def apply_antilinear(A: AntilinearOp, psi) -> np.ndarray:
-    v = as_vector(psi, A.dim, "state")
-    return A.matrix_part @ v.conj()
-
-
-def commutes_with_antilinear(H, A: AntilinearOp, tol: float = DEFAULT_TOL) -> bool:
-    """True iff H commutes with the antilinear map A, i.e. H M = M H*."""
-    Hm = as_square_matrix(H, "Hamiltonian")
-    M = A.matrix_part
-    if Hm.shape != M.shape:
-        raise DimensionMismatch("Hamiltonian and antilinear operator dimensions differ")
-    lhs = Hm @ M
-    resid = frobenius(lhs - M @ Hm.conj())
-    return resid <= tol * max(frobenius(lhs), np.finfo(float).tiny)
+from .linalg import as_square_matrix, as_vector
 
 
 def pt_inner_product(P, psi, phi) -> complex:
@@ -73,18 +22,14 @@ def pt_inner_product(P, psi, phi) -> complex:
     return complex((Pm @ u.conj()) @ v)
 
 
-class PTPhase(enum.Enum):
-    UNBROKEN = "unbroken"
-    BROKEN = "broken"
-
-
-def rephase_to_pt_invariant(phi, P, tol: float = DEFAULT_TOL):
+def rephase_to_pt_invariant(phi, P):
     """Rescale phi by a phase so that P conj(phi) = phi, if possible.
 
     Returns ``(phi', ok)``; ``ok`` is False when phi is not proportional to
-    its PT image (broken phase).  The unit-modulus ratio e^{i beta} is read
-    off the largest-magnitude component, and phi is rotated by e^{i beta/2}
-    (with the half-angle branch corrected when it lands on the -phi sheet).
+    its PT image (broken phase).  The unit-modulus ratio e^{i beta} of
+    P conj(phi) to phi is read off the largest-magnitude component, and phi
+    is rotated by e^{i beta/2}, which makes it PT-invariant whenever phi is
+    proportional to its PT image.
     """
     Pm = as_square_matrix(P, "parity")
     v = as_vector(phi, Pm.shape[0], "eigenvector")
@@ -97,28 +42,5 @@ def rephase_to_pt_invariant(phi, P, tol: float = DEFAULT_TOL):
     if abs(mod - 1.0) > 1e-6:
         return v, False
     out = v * np.exp(0.5j * np.angle(ratio / mod))
-    if np.linalg.norm(Pm @ out.conj() - out) > tol * max(np.linalg.norm(out), 1.0):
-        out = out * 1j  # other branch of the half angle
     ok = np.linalg.norm(Pm @ out.conj() - out) <= 1e-8 * max(np.linalg.norm(out), 1.0)
     return out, ok
-
-
-def classify_pt_phase(H, P, tol: float = DEFAULT_TOL) -> PTPhase:
-    """Unbroken iff the spectrum is real and every eigenvector can be
-    rescaled to a PT-invariant one; broken otherwise.
-
-    Raises :class:`NotPTSymmetric` when H does not commute with PT.
-    """
-    Hm = as_square_matrix(H, "Hamiltonian")
-    pt = pt_op(P)
-    if not commutes_with_antilinear(Hm, pt, tol):
-        raise NotPTSymmetric("Hamiltonian does not commute with the PT operation")
-    es = eig(Hm, tol)
-    scale = max(np.abs(es.eigenvalues).max(), 1.0)
-    if np.abs(es.eigenvalues.imag).max() > tol * scale:
-        return PTPhase.BROKEN
-    for n in range(es.dim):
-        _, ok = rephase_to_pt_invariant(es.right_vectors[:, n], P, tol)
-        if not ok:
-            return PTPhase.BROKEN
-    return PTPhase.UNBROKEN

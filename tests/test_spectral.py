@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ptqm.errors import InvalidParams, OutOfRegime
+from ptqm import spectral
+from ptqm.errors import InvalidParams, NumericalFailure, OutOfRegime
 from ptqm.spectral import (
     SpectralProblem,
     discretize,
@@ -110,6 +111,26 @@ class TestSpectrum:
     def test_reality_holds_in_regime(self):
         for nu in (0.5, 1.0):
             assert verify_reality(SpectralProblem(nu, L=12.0, N=1200), 4)
+
+    def test_reality_refused_when_unconverged(self):
+        # too coarse to converge, although the levels look real
+        p = SpectralProblem(1.0, L=12.0, N=100)
+        res = spectrum(p, 3)
+        assert not res.converged and res.max_imag < 1e-6
+        with pytest.raises(NumericalFailure, match="did not converge"):
+            verify_reality(p, 3)
+
+    def test_each_grid_solved_once(self, monkeypatch):
+        sizes = []
+        solve = spectral._solve_grid
+
+        def counting(nu, L, N, k):
+            sizes.append(N)
+            return solve(nu, L, N, k)
+
+        monkeypatch.setattr(spectral, "_solve_grid", counting)
+        spectrum(SpectralProblem(1.0, L=8.0, N=300), 2)
+        assert sorted(sizes) == [300, 600, 1200]
 
     def test_spectrum_rises_with_nu(self):
         # ground state grows monotonically with the exponent
