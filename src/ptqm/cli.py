@@ -24,7 +24,7 @@ import numpy as np
 
 from . import equivalence, metric, spectral, two_level
 from .errors import InvalidInput, NumericalFailure
-from .linalg import DEFAULT_TOL, frobenius, matrix_exponential
+from .linalg import DEFAULT_TOL, frobenius, matrix_exponential, time_chunks
 
 
 def _cnum(z: complex) -> dict:
@@ -164,17 +164,18 @@ def _evolve_doc(args) -> str:
     _, H, _, eta = _model(args)
     psi0 = _parse_psi0(args.psi0) if args.psi0 else np.array([1.0 + 0j, 0.0 + 0j])
     lines = ["t,norm_dirac,norm_cpt"]
-    for t in np.linspace(0.0, args.t_max, args.steps):
-        psi = matrix_exponential(-1j * float(t) * H) @ psi0
-        norm_dirac = float(np.sqrt((psi.conj() @ psi).real))
-        norm_cpt = float(np.sqrt(metric.cpt_inner_product(eta, psi, psi).real))
-        lines.append(",".join([_fmt(float(t)), _fmt(norm_dirac), _fmt(norm_cpt)]))
+    for chunk in time_chunks(np.linspace(0.0, args.t_max, args.steps), H.shape[0]):
+        for t, propagator in zip(chunk, matrix_exponential(H, -1j * chunk)):
+            psi = propagator @ psi0
+            norm_dirac = float(np.sqrt((psi.conj() @ psi).real))
+            norm_cpt = float(np.sqrt(metric.cpt_inner_product(eta, psi, psi).real))
+            lines.append(",".join([_fmt(float(t)), _fmt(norm_dirac), _fmt(norm_cpt)]))
     return "\n".join(lines) + "\n"
 
 
 def _spectrum_doc(args) -> str:
     problem = spectral.SpectralProblem(nu=args.nu, L=args.L, N=args.N)
-    result = spectral.spectrum(problem, args.k)
+    result = spectral.converged_spectrum(problem, args.k)
     doc = {
         "command": "spectrum",
         "nu": args.nu,

@@ -28,7 +28,7 @@ def as_square_matrix(M, name: str = "matrix") -> np.ndarray:
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise DimensionMismatch(f"{name} contains non-finite entries")
     return A
 
@@ -98,10 +98,35 @@ def eig(M, tol: float = DEFAULT_TOL) -> EigenSystem:
     return es
 
 
-def matrix_exponential(M) -> np.ndarray:
-    """exp(M) for an arbitrary finite square matrix."""
+#: Matrix entries per stacked operand: callers that evolve over many times
+#: pass them to :func:`matrix_exponential` in chunks of this size, which
+#: keeps the stacks small at large n (one matrix per chunk at n = 256).
+STACK_ENTRIES = 2**16
+
+
+def time_chunks(times, dim: int):
+    """Consecutive slices of the 1-D ``times`` whose stacks of dim x dim
+    matrices hold at most ``STACK_ENTRIES`` entries each (at least one
+    time per slice)."""
+    size = max(1, STACK_ENTRIES // (dim * dim))
+    for start in range(0, len(times), size):
+        yield times[start:start + size]
+
+
+def matrix_exponential(M, times=None) -> np.ndarray:
+    """exp(M) for an arbitrary finite square matrix.
+
+    With a 1-D ``times`` (real or complex), the stack of exp(t M) over t,
+    shape ``(len(times), n, n)``, from one batched ``expm`` call; each
+    slice equals ``matrix_exponential(t * M)`` bit for bit.
+    """
     A = as_square_matrix(M)
-    return scipy.linalg.expm(A)
+    if times is None:
+        return scipy.linalg.expm(A)
+    ts = np.asarray(times)
+    if ts.ndim != 1:
+        raise DimensionMismatch(f"times must be one-dimensional, got shape {ts.shape}")
+    return scipy.linalg.expm(ts[:, None, None] * A)
 
 
 def _hermitian_eigensystem(P, tol: float, name: str):
@@ -134,16 +159,20 @@ def check_metric_matrix(eta, tol: float = DEFAULT_TOL) -> np.ndarray:
     return A
 
 
+def intertwines(Am: np.ndarray, eta: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """True iff ||eta A - A^dagger eta|| <= tol * ||eta A||, for a square
+    complex array ``Am`` and an already validated metric matrix ``eta``."""
+    if Am.shape != eta.shape:
+        raise DimensionMismatch("operator and metric dimensions differ")
+    lhs = eta @ Am
+    resid = frobenius(lhs - Am.conj().T @ eta)
+    return resid <= tol * max(frobenius(lhs), np.finfo(float).tiny)
+
+
 def is_self_adjoint_wrt(A, eta, tol: float = DEFAULT_TOL) -> bool:
     """True iff A is self-adjoint in the inner product <psi, phi> = psi^dagger eta phi.
 
-    Equivalent to the intertwining relation eta A = A^dagger eta; the test
-    is relative: ||eta A - A^dagger eta|| <= tol * ||eta A||.
+    Validates eta, then tests the intertwining relation eta A = A^dagger eta
+    with :func:`intertwines`.
     """
-    Am = as_square_matrix(A)
-    etam = check_metric_matrix(eta, tol)
-    if Am.shape != etam.shape:
-        raise DimensionMismatch("operator and metric dimensions differ")
-    lhs = etam @ Am
-    resid = frobenius(lhs - Am.conj().T @ etam)
-    return resid <= tol * max(frobenius(lhs), np.finfo(float).tiny)
+    return intertwines(as_square_matrix(A), check_metric_matrix(eta, tol), tol)

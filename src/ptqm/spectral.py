@@ -62,7 +62,12 @@ class SpectralProblem:
 class SpectrumResult:
     eigenvalues: np.ndarray  # sorted ascending by real part
     max_imag: float
-    converged: bool
+    #: indices of the levels that did not converge under grid refinement
+    unconverged: tuple
+
+    @property
+    def converged(self) -> bool:
+        return not self.unconverged
 
 
 def potential(x, nu: float):
@@ -130,9 +135,9 @@ def spectrum(p: SpectralProblem, k: int) -> SpectrumResult:
     """Lowest k levels by real part, Richardson-extrapolated.
 
     Three grids are solved (N, 2N, 4N at fixed L).  The reported levels
-    extrapolate the (N, 2N) pair; ``converged`` is True when the (2N, 4N)
-    extrapolation agrees with the reported one to better than 1e-6 in
-    every real part.
+    extrapolate the (N, 2N) pair.  A level is unconverged unless the
+    (2N, 4N) extrapolation has it too and agrees with the reported one to
+    better than 1e-6 in the real part.
     """
     if k < 1 or k > p.N - 2:
         raise InvalidParams(f"k must be in 1..{p.N - 2}")
@@ -154,15 +159,27 @@ def spectrum(p: SpectralProblem, k: int) -> SpectrumResult:
     levels = richardson(grid_n, grid_2n)
     refined = richardson(grid_2n, grid_4n)
     m = min(len(levels), len(refined))
-    converged = bool(
-        m == len(levels)
-        and np.all(np.abs(levels[:m].real - refined[:m].real) < _CONVERGENCE_ABS)
-    )
+    gap = np.abs(levels[:m].real - refined[:m].real)
     return SpectrumResult(
         eigenvalues=levels,
         max_imag=float(np.abs(levels.imag).max()),
-        converged=converged,
+        unconverged=tuple(
+            i for i in range(len(levels)) if i >= m or not gap[i] < _CONVERGENCE_ABS
+        ),
     )
+
+
+def converged_spectrum(p: SpectralProblem, k: int) -> SpectrumResult:
+    """:func:`spectrum`, raising :class:`NumericalFailure` that names the
+    levels which did not converge under grid refinement."""
+    res = spectrum(p, k)
+    if not res.converged:
+        named = ", ".join(f"{i} ({res.eigenvalues[i]:.6g})" for i in res.unconverged)
+        raise NumericalFailure(
+            f"levels {named} at nu = {p.nu} did not converge under grid "
+            f"refinement (L = {p.L}, N = {p.N})"
+        )
+    return res
 
 
 def verify_reality(p: SpectralProblem, k: int, tol: float = 1e-6) -> bool:
@@ -171,12 +188,7 @@ def verify_reality(p: SpectralProblem, k: int, tol: float = 1e-6) -> bool:
     Raises :class:`NumericalFailure` when the levels did not converge
     under grid refinement, since reality cannot be judged from them.
     """
-    res = spectrum(p, k)
-    if not res.converged:
-        raise NumericalFailure(
-            f"levels at nu = {p.nu} did not converge under grid refinement "
-            f"(L = {p.L}, N = {p.N}); reality cannot be verified"
-        )
+    res = converged_spectrum(p, k)
     re = res.eigenvalues.real
     if res.max_imag >= tol:
         return False

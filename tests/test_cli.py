@@ -4,7 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from ptqm import two_level
 from ptqm.cli import main
+from ptqm.equivalence import check_observable_bender
+from ptqm.linalg import is_self_adjoint_wrt, matrix_exponential
+from ptqm.metric import cpt_inner_product, cpt_system
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -15,6 +19,7 @@ SCHEMA = json.loads(
 )
 
 MODEL = ["--r", "1.0", "--s", "1.0", "--theta", str(np.pi / 6)]
+OTHER = (-0.7, 1.3, 2.1)
 
 
 def run_cli(capsys, argv):
@@ -91,6 +96,36 @@ class TestCheck:
         code, _ = run_cli(capsys, ["check"] + MODEL + ["--steps", "1"])
         assert code == 2
 
+    def test_long_run_matches_per_step_reference(self, capsys):
+        # 2000 steps: the whole grid is evolved in one stack at n = 2
+        r, s, theta = OTHER
+        steps = 2000
+        p = two_level.TwoLevelParams(r, s, theta)
+        H = two_level.build_H(p)
+        _, C, eta = cpt_system(H, two_level.PARITY)
+        O = two_level.S_mu(p, 2)
+        period = math.pi / (p.s * math.cos(p.alpha))
+        rows = []
+        for t in np.linspace(0.0, period, steps):
+            t = float(t)
+            Ot = matrix_exponential(1j * t * H) @ O @ matrix_exponential(-1j * t * H)
+            bc = check_observable_bender(Ot, C, two_level.PARITY)
+            rows.append({"t": t, "symmetric": bc.symmetric,
+                         "cpt_invariant": bc.cpt_invariant,
+                         "eta_hermitian": is_self_adjoint_wrt(Ot, eta.eta)})
+        doc = {
+            "command": "check", "r": r, "s": s, "theta": theta, "alpha": p.alpha,
+            "period": period, "rows": rows,
+            "summary": {
+                "bender_criterion_dynamically_stable": all(
+                    row["symmetric"] and row["cpt_invariant"] for row in rows),
+                "eta_criterion_dynamically_stable": all(row["eta_hermitian"] for row in rows),
+            },
+        }
+        argv = ["check", "--r", str(r), "--s", str(s), "--theta", str(theta),
+                "--steps", str(steps)]
+        assert run_cli(capsys, argv) == (0, json.dumps(doc, indent=2) + "\n")
+
 
 class TestEvolve:
     def test_cpt_norm_conserved_dirac_not(self, capsys):
@@ -122,6 +157,22 @@ class TestEvolve:
         )
         assert code == 2
 
+    def test_long_run_matches_per_step_reference(self, capsys):
+        r, s, theta = OTHER
+        steps, t_max = 2000, 40.0
+        H = two_level.build_H(two_level.TwoLevelParams(r, s, theta))
+        _, _, eta = cpt_system(H, two_level.PARITY)
+        psi0 = np.array([0.6 + 0.1j, -0.3 + 0.7j])
+        lines = ["t,norm_dirac,norm_cpt"]
+        for t in np.linspace(0.0, t_max, steps):
+            psi = matrix_exponential(-1j * float(t) * H) @ psi0
+            norms = (float(t), np.sqrt((psi.conj() @ psi).real),
+                     np.sqrt(cpt_inner_product(eta, psi, psi).real))
+            lines.append(",".join("%.15g" % x for x in norms))
+        argv = ["evolve", "--r", str(r), "--s", str(s), "--theta", str(theta),
+                "--t-max", str(t_max), "--steps", str(steps), "--psi0", "0.6,0.1,-0.3,0.7"]
+        assert run_cli(capsys, argv) == (0, "\n".join(lines) + "\n")
+
 
 class TestSpectrum:
     def test_harmonic_schema_and_values(self, capsys):
@@ -139,6 +190,15 @@ class TestSpectrum:
     def test_out_of_regime_exit_2(self, capsys):
         code, _ = run_cli(capsys, ["spectrum", "--nu", "2.5"])
         assert code == 2
+
+    def test_unconverged_levels_exit_3(self, capsys):
+        # too coarse a grid: the levels look real but do not converge
+        code = main(["spectrum", "--nu", "1.0", "--k", "3", "--N", "100"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "levels 0 (1.15627" in captured.err
+        assert "did not converge under grid refinement (L = 12.0, N = 100)" in captured.err
 
     def test_byte_determinism(self, capsys):
         args = ["spectrum", "--nu", "1.0", "--k", "2", "--L", "8.0", "--N", "600"]

@@ -15,8 +15,8 @@ from ptqm.errors import (
     NotHermitianInput,
     PseudoHermiticityViolated,
 )
-from ptqm.linalg import eig
-from ptqm.metric import Metric, metric_from_CPT
+from ptqm.linalg import eig, is_self_adjoint_wrt, matrix_exponential
+from ptqm.metric import Metric, build_C, metric_from_CPT, pt_normalize
 from ptqm.two_level import (
     PARITY,
     SIGMA_0,
@@ -45,6 +45,31 @@ def reference_setup(p):
     C = C_closed_form(p)
     metric = Metric(eta_closed_form(p))
     return H, C, metric
+
+
+def pt_symmetric_system(n, rng, eps=0.2):
+    """(H, P, C, metric, O) for H = S H0 S^T with S = expm(i eps K), P the
+    flip matrix, H0 real symmetric of unit norm with P H0 P = H0 and K real
+    antisymmetric with P K P = -K; O = Phi o Phi^T with Phi the
+    PT-normalized eigenvectors and o real symmetric, block-diagonal in the
+    PT-norm signs, passes the symmetric/CPT-invariant check."""
+    P = np.eye(n)[::-1]
+    A = rng.normal(size=(n, n))
+    H0 = A + A.T
+    H0 = 0.5 * (H0 + P @ H0 @ P)
+    H0 /= np.linalg.norm(H0, 2)
+    K = A - A.T
+    K = 0.5 * (K - P @ K @ P)
+    S = matrix_exponential(1j * eps * K / np.linalg.norm(K, 2))
+    H = S @ H0 @ S.T
+    vectors, signs = pt_normalize(eig(H), P)
+    C = build_C(vectors)
+    metric = metric_from_CPT(C, P)
+    signs = np.array(signs)
+    B = rng.normal(size=(n, n))
+    o = (B + B.T) * (signs[:, None] == signs[None, :])
+    Phi = np.column_stack(vectors)
+    return H, P, C, metric, Phi @ (o / np.linalg.norm(o, 2)) @ Phi.T
 
 
 class TestBuildEquivalence:
@@ -171,6 +196,20 @@ class TestHeisenberg:
             heisenberg_evolve(H, S_mu(p, 2), T), -S_mu(p, 2), atol=1e-10
         )
 
+    def test_stack_slices_equal_scalar_calls(self, rng):
+        for n in (2, 5):
+            H = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            O = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            times = np.concatenate([[0.0], rng.uniform(-4.0, 4.0, size=30)])
+            stack = heisenberg_evolve(H, O, times)
+            assert stack.shape == (len(times), n, n)
+            for t, Ot in zip(times, stack):
+                assert np.array_equal(Ot, heisenberg_evolve(H, O, t))
+                definition = (
+                    matrix_exponential(1j * t * H) @ O @ matrix_exponential(-1j * t * H)
+                )
+                assert np.array_equal(Ot, definition)
+
 
 class TestBenderCheck:
     def test_family_passes(self, rng):
@@ -209,6 +248,23 @@ class TestConsistencyDemo:
             False,
             True,
         ]
+
+    def test_chunked_large_n_matches_per_time_reference(self, rng):
+        # n = 64 evolves 16 times per stack: 37 times leave a partial chunk
+        H, P, C, metric, O = pt_symmetric_system(64, rng)
+        times = np.linspace(0.0, 3.0, 37)
+        rows = consistency_demo(H, C, P, metric, O, times)
+        reference = []
+        for t in times:
+            Ot = heisenberg_evolve(H, O, float(t))
+            bc = check_observable_bender(Ot, C, P)
+            reference.append(
+                (float(t), bc.symmetric, bc.cpt_invariant, is_self_adjoint_wrt(Ot, metric.eta))
+            )
+        assert [(r.t, r.symmetric, r.cpt_invariant, r.eta_hermitian) for r in rows] == reference
+        assert rows[0].symmetric and rows[0].cpt_invariant
+        assert all(r.eta_hermitian for r in rows)
+        assert not any(r.symmetric or r.cpt_invariant for r in rows[1:])
 
     def test_rejects_bad_seed_observable(self):
         H, C, metric = reference_setup(REFERENCE)

@@ -8,10 +8,12 @@ from ptqm.errors import (
     NotPositiveDefinite,
 )
 from ptqm.linalg import (
+    STACK_ENTRIES,
     eig,
     hermitian_sqrt,
     is_self_adjoint_wrt,
     matrix_exponential,
+    time_chunks,
 )
 from ptqm.two_level import SIGMA_1, SIGMA_3, TwoLevelParams, build_H
 
@@ -92,6 +94,34 @@ class TestMatrixExponential:
             lhs = matrix_exponential(np.diag(a + b))
             rhs = matrix_exponential(np.diag(a)) @ matrix_exponential(np.diag(b))
             np.testing.assert_allclose(lhs, rhs, atol=1e-10 * np.linalg.norm(lhs))
+
+    def test_stack_slices_equal_scalar_calls(self, rng):
+        for n in (2, 5):
+            M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            times = np.concatenate([[0.0], rng.uniform(-4.0, 4.0, size=30)])
+            for ts in (times, 1j * times, -1j * times):
+                stack = matrix_exponential(M, ts)
+                assert stack.shape == (len(ts), n, n)
+                for t, E in zip(ts, stack):
+                    assert np.array_equal(E, matrix_exponential(t * M))
+
+    def test_times_must_be_one_dimensional(self):
+        with pytest.raises(DimensionMismatch):
+            matrix_exponential(np.eye(2), np.zeros((2, 2)))
+
+
+class TestTimeChunks:
+    def test_chunks_cover_times_in_order_within_budget(self):
+        times = np.linspace(0.0, 1.0, 2000)
+        for n, size in ((2, 2000), (64, 16), (256, 1), (300, 1)):
+            chunks = list(time_chunks(times, n))
+            assert np.array_equal(np.concatenate(chunks), times)
+            assert max(len(c) for c in chunks) == size
+            assert size == 1 or size * n * n <= STACK_ENTRIES
+
+    def test_partial_last_chunk(self):
+        chunks = list(time_chunks(np.arange(37.0), 64))
+        assert [len(c) for c in chunks] == [16, 16, 5]
 
 
 class TestHermitianSqrt:
