@@ -8,7 +8,8 @@ uses Python's shortest round-trip float repr with two-space indentation,
 CSV uses 15-significant-digit ``%.15g`` fields, LF line endings, UTF-8.
 Complex numbers serialize as {"re": ..., "im": ...} objects.
 
-Exit codes: 0 success, 2 invalid input, 3 numerical failure.
+Exit codes: 0 success, 2 invalid input (malformed or non-finite arguments
+included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -150,8 +151,11 @@ def _check_doc(args) -> str:
 
 
 def _parse_psi0(text: str) -> np.ndarray:
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) != 4:
+    try:
+        parts = [float(x) for x in text.split(",")]
+    except ValueError:
+        parts = []
+    if len(parts) != 4 or not np.isfinite(parts).all():
         raise InvalidInput("--psi0 expects four comma-separated reals: re0,im0,re1,im1")
     return np.array([parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]])
 
@@ -159,8 +163,8 @@ def _parse_psi0(text: str) -> np.ndarray:
 def _evolve_doc(args) -> str:
     if args.steps < 2:
         raise InvalidInput("steps must be at least 2")
-    if args.t_max <= 0:
-        raise InvalidInput("t-max must be positive")
+    if not 0 < args.t_max < math.inf:
+        raise InvalidInput("t-max must be positive and finite")
     _, H, _, eta = _model(args)
     psi0 = _parse_psi0(args.psi0) if args.psi0 else np.array([1.0 + 0j, 0.0 + 0j])
     lines = ["t,norm_dirac,norm_cpt"]
@@ -234,6 +238,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0 < args.tolerance < math.inf:
+            raise InvalidInput("tolerance must be positive and finite")
         text = args.handler(args)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)

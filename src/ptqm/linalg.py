@@ -129,21 +129,23 @@ def matrix_exponential(M, times=None) -> np.ndarray:
     return scipy.linalg.expm(ts[:, None, None] * A)
 
 
-def _hermitian_eigensystem(P, tol: float, name: str):
-    A = as_square_matrix(P, name)
+def _positive_eigensystem(M, tol: float, name: str):
+    """``(A, w, Q)``: M coerced, with the eigenvalues and eigenvectors of one
+    ``eigh``.  Raises :class:`NotPositiveDefinite`, naming ``name``, unless
+    M is Hermitian and its smallest eigenvalue exceeds ``tol`` times the
+    largest magnitude (or 1)."""
+    A = as_square_matrix(M, name)
     if frobenius(A - A.conj().T) > tol * max(frobenius(A), 1.0):
         raise NotPositiveDefinite(f"{name} is not Hermitian")
     w, Q = np.linalg.eigh(A)
+    if w.min() <= tol * max(abs(w).max(), 1.0):
+        raise NotPositiveDefinite(f"{name} has non-positive eigenvalue {w.min():.3e}")
     return A, w, Q
 
 
 def hermitian_sqrt(P, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Hermitian positive-definite square root rho of P, rho^2 = P."""
-    A, w, Q = _hermitian_eigensystem(P, tol, "positive-definite matrix")
-    if w.min() <= tol * max(abs(w).max(), 1.0):
-        raise NotPositiveDefinite(
-            f"matrix has eigenvalue {w.min():.3e} at or below tolerance"
-        )
+    _, w, Q = _positive_eigensystem(P, tol, "matrix")
     root = (Q * np.sqrt(w)) @ Q.conj().T
     return 0.5 * (root + root.conj().T)
 
@@ -151,12 +153,9 @@ def hermitian_sqrt(P, tol: float = DEFAULT_TOL) -> np.ndarray:
 def check_metric_matrix(eta, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Validate that eta is Hermitian positive-definite; return it coerced."""
     try:
-        A, w, _ = _hermitian_eigensystem(eta, tol, "metric")
+        return _positive_eigensystem(eta, tol, "metric")[0]
     except NotPositiveDefinite as exc:
         raise InvalidMetric(str(exc)) from exc
-    if w.min() <= tol * max(abs(w).max(), 1.0):
-        raise InvalidMetric(f"metric has non-positive eigenvalue {w.min():.3e}")
-    return A
 
 
 def intertwines(Am: np.ndarray, eta: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     ComplexSpectrum,
     DimensionMismatch,
+    InvalidMetric,
     MetricNotPositive,
     NotPTSymmetric,
     SelfOrthogonalEigenvector,
@@ -33,7 +34,6 @@ from .linalg import (
     as_vector,
     check_metric_matrix,
     eig,
-    frobenius,
 )
 from .pt import pt_inner_product, rephase_to_pt_invariant
 
@@ -44,12 +44,14 @@ EXCEPTIONAL_POINT_THRESHOLD = 1e-8
 
 @dataclass(frozen=True)
 class Metric:
-    """Hermitian positive-definite matrix of a physical inner product."""
+    """Hermitian positive-definite matrix of a physical inner product,
+    validated once, when built, at tolerance ``tol``."""
 
     eta: np.ndarray
+    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        object.__setattr__(self, "eta", check_metric_matrix(self.eta))
+        object.__setattr__(self, "eta", check_metric_matrix(self.eta, self.tol))
 
     @property
     def dim(self) -> int:
@@ -114,22 +116,17 @@ def metric_from_CPT(C, P, tol: float = DEFAULT_TOL) -> Metric:
     """Metric eta = P^T C^T of the CPT inner product.
 
     Raises :class:`MetricNotPositive` when the candidate fails Hermiticity
-    or positivity, which signals a broken PT phase or a sign-convention
-    error upstream.
+    or positivity at ``tol``, which signals a broken PT phase or a
+    sign-convention error upstream.
     """
     Cm = as_square_matrix(C, "charge conjugation")
     Pm = as_square_matrix(P, "parity")
     if Cm.shape != Pm.shape:
         raise DimensionMismatch("C and P dimensions differ")
-    eta = Pm.T @ Cm.T
-    if frobenius(eta - eta.conj().T) > tol * max(frobenius(eta), 1.0):
-        raise MetricNotPositive("CPT metric candidate is not Hermitian")
-    w = np.linalg.eigvalsh(0.5 * (eta + eta.conj().T))
-    if w.min() <= tol * max(abs(w).max(), 1.0):
-        raise MetricNotPositive(
-            f"CPT metric has non-positive eigenvalue {w.min():.3e}"
-        )
-    return Metric(eta)
+    try:
+        return Metric(Pm.T @ Cm.T, tol)
+    except InvalidMetric as exc:
+        raise MetricNotPositive(f"CPT {exc}") from exc
 
 
 def cpt_system(H, P, tol: float = DEFAULT_TOL):
@@ -166,4 +163,4 @@ def metric_from_biorthonormal(es: EigenSystem, tol: float = DEFAULT_TOL) -> Metr
         )
     L = es.left_vectors
     eta = L @ L.conj().T
-    return Metric(0.5 * (eta + eta.conj().T))
+    return Metric(0.5 * (eta + eta.conj().T), tol)

@@ -54,8 +54,8 @@ class SpectralProblem:
             )
         if self.N < 3:
             raise InvalidParams("grid size N must be at least 3")
-        if self.L <= 0:
-            raise InvalidParams("box half-width L must be positive")
+        if not 0 < self.L < np.inf:
+            raise InvalidParams("box half-width L must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,15 @@
-import numpy as np
-import pytest
+import os
 
-from ptqm.two_level import TwoLevelParams
+# One BLAS thread, set before numpy loads, as benchmarks/run.py does: on a
+# two-core machine two OpenBLAS threads make small complex matmuls up to
+# 100 times slower.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from ptqm.two_level import TwoLevelParams  # noqa: E402
 
 
 def random_valid_params(rng, margin=0.95):

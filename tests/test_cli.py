@@ -65,6 +65,16 @@ class TestTwoLevel:
         assert code == 2
 
 
+def test_bad_tolerance_exit_2(capsys):
+    # a NaN tolerance makes every tolerance comparison false, so no check fails
+    for command in (["two-level"] + MODEL, ["spectrum", "--nu", "1"]):
+        for tolerance in ("nan", "inf", "0", "-0.5"):
+            code = main(command + ["--tolerance", tolerance])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, "")
+            assert captured.err == "error: tolerance must be positive and finite\n"
+
+
 class TestCheck:
     def test_json_schema_and_summary(self, capsys):
         code, out = run_cli(capsys, ["check"] + MODEL + ["--steps", "8"])
@@ -151,11 +161,17 @@ class TestEvolve:
         assert float(first[1]) == pytest.approx(1.0)
 
     def test_bad_psi0_exit_2(self, capsys):
-        code, _ = run_cli(
-            capsys,
-            ["evolve"] + MODEL + ["--t-max", "1.0", "--steps", "2", "--psi0", "1,0"],
-        )
-        assert code == 2
+        for tail in (
+            ["--t-max", "1.0", "--psi0", "1,0"],
+            ["--t-max", "1.0", "--psi0", "a,b,c,d"],
+            ["--t-max", "1.0", "--psi0", "nan,0,0,0"],
+            ["--t-max", "1.0", "--psi0", "0,inf,1,0"],
+            ["--t-max", "nan"],
+            ["--t-max", "inf"],
+            ["--t-max", "0"],
+        ):
+            argv = ["evolve"] + MODEL + ["--steps", "2"] + tail
+            assert run_cli(capsys, argv) == (2, ""), tail
 
     def test_long_run_matches_per_step_reference(self, capsys):
         r, s, theta = OTHER
@@ -188,8 +204,8 @@ class TestSpectrum:
         assert doc["converged"] is True
 
     def test_out_of_regime_exit_2(self, capsys):
-        code, _ = run_cli(capsys, ["spectrum", "--nu", "2.5"])
-        assert code == 2
+        for tail in (["--nu", "2.5"], ["--nu", "1", "--L", "nan"], ["--nu", "1", "--L", "inf"]):
+            assert run_cli(capsys, ["spectrum"] + tail) == (2, ""), tail
 
     def test_unconverged_levels_exit_3(self, capsys):
         # too coarse a grid: the levels look real but do not converge

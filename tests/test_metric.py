@@ -7,11 +7,12 @@ from ptqm.errors import (
     MetricNotPositive,
     SelfOrthogonalEigenvector,
 )
-from ptqm.linalg import eig, is_self_adjoint_wrt
+from ptqm.linalg import EigenSystem, eig, is_self_adjoint_wrt
 from ptqm.metric import (
     Metric,
     build_C,
     cpt_inner_product,
+    cpt_system,
     metric_from_CPT,
     metric_from_biorthonormal,
     pt_normalize,
@@ -193,3 +194,52 @@ class TestMetricValidation:
     def test_accepts_valid(self):
         m = Metric(eta_closed_form(REFERENCE))
         assert m.dim == 2
+
+
+class TestCallerTolerance:
+    """Positivity is decided once, at the tolerance of the building call."""
+
+    # eigenvalue ratio 1e-11: positive at tol = 1e-12, not at tol = 1e-10
+    THIN = np.diag([1.0, 1e-11])
+
+    def test_metric_from_CPT(self):
+        metric = metric_from_CPT(self.THIN, np.eye(2), tol=1e-12)
+        np.testing.assert_array_equal(metric.eta, self.THIN)
+        assert metric.tol == 1e-12
+        with pytest.raises(
+            MetricNotPositive, match="^CPT metric has non-positive eigenvalue 1.000e-11$"
+        ):
+            metric_from_CPT(self.THIN, np.eye(2), tol=1e-10)
+
+    def test_metric_from_biorthonormal(self):
+        # left vectors diag(1, sqrt(1e-11)) give eta_b = diag(1, 1e-11)
+        es = EigenSystem(
+            eigenvalues=np.array([2.0, 1.0]),
+            right_vectors=np.diag([1.0, 1.0 / np.sqrt(1e-11)]),
+            left_vectors=np.diag([1.0, np.sqrt(1e-11)]),
+        )
+        np.testing.assert_allclose(
+            metric_from_biorthonormal(es, tol=1e-12).eta, self.THIN, rtol=1e-15
+        )
+        with pytest.raises(InvalidMetric):
+            metric_from_biorthonormal(es, tol=1e-10)
+
+    def test_metric_defaults_to_default_tol(self):
+        assert Metric(self.THIN, 1e-12).dim == 2
+        with pytest.raises(InvalidMetric):
+            Metric(self.THIN)
+
+
+class TestCptSystem:
+    def test_one_hermitian_eigendecomposition(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        cpt_system(build_H(REFERENCE), PARITY)
+        assert calls == ["eigh"]

@@ -42,8 +42,9 @@ class TestProblemValidation:
     def test_bad_grid(self):
         with pytest.raises(InvalidParams):
             SpectralProblem(1.0, N=2)
-        with pytest.raises(InvalidParams):
-            SpectralProblem(1.0, L=0.0)
+        for L in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(InvalidParams):
+                SpectralProblem(1.0, L=L)
 
     def test_bad_k(self):
         p = SpectralProblem(0.0, N=400)
