@@ -155,8 +155,8 @@ def check_observable_bender(O, C, P, tol: float = DEFAULT_TOL) -> BenderCheck:
     scale = max(frobenius(Om), 1.0)
     symmetric = frobenius(Om - Om.T) <= tol * scale
     CP = Cm @ Pm
-    resid = frobenius(Om @ CP - CP @ Om.conj())
-    cpt_invariant = resid <= tol * max(frobenius(Om @ CP), 1.0)
+    OCP = Om @ CP
+    cpt_invariant = frobenius(OCP - CP @ Om.conj()) <= tol * max(frobenius(OCP), 1.0)
     return BenderCheck(symmetric=symmetric, cpt_invariant=cpt_invariant)
 
 

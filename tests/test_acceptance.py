@@ -169,7 +169,8 @@ def test_criterion_04_equivalence_reduction(capsys, rng):
 
 
 def test_criterion_05_heisenberg_inconsistency(capsys):
-    t0 = time.perf_counter()
+    # CPU time of this process, so a stall of the machine does not count
+    t0 = time.process_time()
     p = REFERENCE
     H, _, C, eta = pipeline(p)
     O = S_mu(p, 2)
@@ -189,7 +190,7 @@ def test_criterion_05_heisenberg_inconsistency(capsys):
         Om = heisenberg_evolve(H, O, m * period)
         returns_ok &= frobenius(Om - (-1.0) ** m * O) < 1e-10
         returns_ok &= check_observable_bender(Om, C, PARITY).passed
-    elapsed = time.perf_counter() - t0
+    elapsed = time.process_time() - t0
     ok = worst < 1e-10 and fails_mid and returns_ok and hermitian_everywhere and elapsed < 1.0
     report(
         capsys, 5, "Heisenberg flow breaks the symmetric/CPT criterion, not eta",

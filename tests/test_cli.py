@@ -213,8 +213,17 @@ class TestSpectrum:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert "levels 0 (1.15627" in captured.err
-        assert "did not converge under grid refinement (L = 12.0, N = 100)" in captured.err
+        assert "levels 1 (4.10924" in captured.err
+        assert ", 2 (7.56231" in captured.err
+        assert "did not converge under grid refinement (L = 8.0, N = 100)" in captured.err
+
+    def test_converges_near_nu_2(self, capsys):
+        # the complex contour keeps the levels bound as nu -> 2
+        code, out = run_cli(capsys, ["spectrum", "--nu", "1.99", "--k", "5"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["converged"] is True and doc["max_imag"] < 1e-9
+        assert doc["levels"][0]["re"] == pytest.approx(1.4733641, abs=1e-7)
 
     def test_byte_determinism(self, capsys):
         args = ["spectrum", "--nu", "1.0", "--k", "2", "--L", "8.0", "--N", "600"]

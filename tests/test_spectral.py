@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ptqm import spectral
 from ptqm.errors import InvalidParams, NumericalFailure, OutOfRegime
@@ -15,6 +16,11 @@ from ptqm.spectral import (
 # computation (250 modes on [-12, 12], trapezoid quadrature), converged to
 # ~1e-8 against mode count.  Agrees with published values to 1e-7.
 GALERKIN_E0_NU1 = 1.15626707
+# The same level from this solver on a finer grid (L = 10, N = 4000), where
+# it is stable to ~1e-12 against L and N.
+E0_NU1 = 1.1562670719881
+# Lowest levels at nu = 2 from quartic_oracle_levels (E3 = 18.45881870).
+QUARTIC_LEVELS = [1.4771498, 6.0033861, 11.8024336, 18.4588187]
 
 
 def galerkin_levels(nu, k, L=12.0, M=250, quad=6001):
@@ -31,6 +37,35 @@ def galerkin_levels(nu, k, L=12.0, M=250, quad=6001):
     w = np.linalg.eigvals(kinetic + W)
     w = w[np.argsort(w.real)]
     return w[:k]
+
+
+def quartic_oracle_levels(k, L=5.0, N=2000):
+    """Independent oracle for nu = 2: -x^4 on the contour is isospectral to
+    the Hermitian p^2 + 4 x^4 - 2 x on the real line (Buslaev-Grecchi;
+    Jones-Mateo, PRD 73, 085002 (2006)).  Real tridiagonal eigh on N and
+    2N points of [-L, L], Richardson-extrapolated."""
+    grids = []
+    for n in (N, 2 * N):
+        x, h = np.linspace(-L, L, n, retstep=True)
+        x = x[1:-1]
+        w = scipy.linalg.eigh_tridiagonal(
+            2.0 / h**2 + 4.0 * x**4 - 2.0 * x,
+            np.full(n - 3, -1.0 / h**2),
+            select="i",
+            select_range=(0, k - 1),
+            eigvals_only=True,
+        )
+        grids.append((w, h))
+    (w1, h1), (w2, h2) = grids
+    rho = (h1 / h2) ** 2
+    return (rho * w2 - w1) / (rho - 1.0)
+
+
+def richardson_grid_levels(nu, L, N, k):
+    """The private grid solver on N and 2N points, Richardson-extrapolated."""
+    (w1, h1), (w2, h2) = (spectral._solve_grid(nu, L, n, k) for n in (N, 2 * N))
+    rho = (h1 / h2) ** 2
+    return (rho * w2 - w1) / (rho - 1.0)
 
 
 class TestProblemValidation:
@@ -140,3 +175,37 @@ class TestSpectrum:
             for nu in (0.0, 0.5, 1.0)
         ]
         assert e[0] < e[1] < e[2]
+
+
+class TestContour:
+    def test_default_grid_accuracy_floor(self):
+        res = spectrum(SpectralProblem(0.0), 5)
+        exact = [1.0, 3.0, 5.0, 7.0, 9.0]
+        assert abs(res.eigenvalues[0] - 1.0) < 1e-8
+        np.testing.assert_allclose(res.eigenvalues, exact, rtol=0, atol=1e-7)
+        e0 = spectrum(SpectralProblem(1.0), 1).eigenvalues[0]
+        assert abs(e0 - E0_NU1) < 1e-7
+
+    def test_nu_2_matches_hermitian_quartic_oracle(self):
+        # SpectralProblem still refuses nu = 2, so the grid solver is
+        # called directly on the default box
+        oracle = quartic_oracle_levels(4)
+        np.testing.assert_allclose(oracle, QUARTIC_LEVELS, rtol=0, atol=1e-6)
+        levels = richardson_grid_levels(2.0, 8.0, 1000, 4)
+        assert len(levels) == 4
+        np.testing.assert_allclose(levels, oracle, rtol=0, atol=1e-6)
+
+    def test_converged_or_refused_up_to_nu_2(self):
+        # each nu either converges with real levels or is refused; the
+        # ground states that converge rise towards the nu = 2 value
+        ground = {}
+        for nu in list(np.linspace(0.0, 1.9, 18)) + [1.99, 1.9999]:
+            try:
+                res = spectral.converged_spectrum(SpectralProblem(nu), 5)
+            except NumericalFailure:
+                continue
+            assert res.max_imag < 1e-9, nu
+            ground[nu] = res.eigenvalues[0].real
+        e0 = np.array(list(ground.values()))
+        assert np.all(np.diff(e0) > 0) and e0.max() < QUARTIC_LEVELS[0]
+        assert ground[1.9999] == pytest.approx(QUARTIC_LEVELS[0], abs=4e-5)
