@@ -85,7 +85,7 @@ def _two_level_doc(args) -> str:
         "C": _cmatrix(C),
         "eta": {
             "matrix": _cmatrix(eta.eta),
-            "eigenvalues": [float(w) for w in np.linalg.eigvalsh(eta.eta)[::-1]],
+            "eigenvalues": [float(w) for w in eta.eigenvalues[::-1]],
         },
         "U_canonical": _cmatrix(pair.U),
         "U_printed": _cmatrix(Up),

@@ -77,11 +77,9 @@ def build_equivalence(H, metric: Metric, tol: float = DEFAULT_TOL) -> Equivalenc
     w, V = np.linalg.eigh(h0)
     order = np.argsort(-w)
     V = V[:, order]
-    for k in range(V.shape[1]):
-        col = V[:, k]
-        j = int(np.nonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0][0])
-        phase = col[j] / abs(col[j])
-        V[:, k] = col / phase
+    mags = np.abs(V)
+    c = V[np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0), np.arange(V.shape[1])]
+    V /= c / np.hypot(c.real, c.imag)
     U = V.conj().T @ rho
     h = U @ Hm @ np.linalg.inv(U)
     return EquivalencePair(U=U, h=h, eta=metric)
@@ -97,7 +95,7 @@ def build_equivalence_pt(H, P, tol: float = DEFAULT_TOL) -> EquivalencePair:
     """
     Hm = as_square_matrix(H, "Hamiltonian")
     vectors, _, metric = cpt_system(Hm, P, tol)
-    U = np.array([(metric.eta @ phi).conj() for phi in vectors])
+    U = (metric.eta @ np.array(vectors).T).conj().T
     h = U @ Hm @ np.linalg.inv(U)
     return EquivalencePair(U=U, h=h, eta=metric)
 

@@ -150,12 +150,14 @@ def hermitian_sqrt(P, tol: float = DEFAULT_TOL) -> np.ndarray:
     return 0.5 * (root + root.conj().T)
 
 
-def check_metric_matrix(eta, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Validate that eta is Hermitian positive-definite; return it coerced."""
+def check_metric_matrix(eta, tol: float = DEFAULT_TOL):
+    """Validate that eta is Hermitian positive-definite; return it coerced,
+    with its ascending eigenvalues."""
     try:
-        return _positive_eigensystem(eta, tol, "metric")[0]
+        A, w, _ = _positive_eigensystem(eta, tol, "metric")
     except NotPositiveDefinite as exc:
         raise InvalidMetric(str(exc)) from exc
+    return A, w
 
 
 def intertwines(Am: np.ndarray, eta: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -174,4 +176,4 @@ def is_self_adjoint_wrt(A, eta, tol: float = DEFAULT_TOL) -> bool:
     Validates eta, then tests the intertwining relation eta A = A^dagger eta
     with :func:`intertwines`.
     """
-    return intertwines(as_square_matrix(A), check_metric_matrix(eta, tol), tol)
+    return intertwines(as_square_matrix(A), check_metric_matrix(eta, tol)[0], tol)

@@ -15,7 +15,7 @@ spectrum: eta_b = sum_n chi_n chi_n^dagger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .linalg import (
     check_metric_matrix,
     eig,
 )
-from .pt import pt_inner_product, rephase_to_pt_invariant
 
 #: Below this PT self-product magnitude an eigenvector counts as
 #: self-orthogonal: normalization would amplify noise past test tolerances.
@@ -45,13 +44,17 @@ EXCEPTIONAL_POINT_THRESHOLD = 1e-8
 @dataclass(frozen=True)
 class Metric:
     """Hermitian positive-definite matrix of a physical inner product,
-    validated once, when built, at tolerance ``tol``."""
+    validated once, when built, at tolerance ``tol``; ``eigenvalues`` are
+    the ascending eigenvalues the validation computed."""
 
     eta: np.ndarray
     tol: float = DEFAULT_TOL
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "eta", check_metric_matrix(self.eta, self.tol))
+        eta, w = check_metric_matrix(self.eta, self.tol)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "eigenvalues", w)
 
     @property
     def dim(self) -> int:
@@ -63,41 +66,60 @@ def pt_normalize(es: EigenSystem, P):
 
     Each phi_n is scaled so its PT self-product is exactly +1 or -1 (the
     sign is intrinsic: rescaling changes the self-product by |c|^2 only),
-    then rotated to a PT-invariant representative P conj(phi) = phi.  The
-    leftover sign freedom phi -> -phi is fixed by requiring Re(c) + Im(c) > 0
-    for the first component c of near-maximal magnitude; this convention
-    reproduces the reference closed forms of the two-level model over the
-    whole unbroken region.
+    then rotated to a PT-invariant representative P conj(phi) = phi: the
+    unit-modulus ratio e^{i beta} of P conj(phi) to phi, read off the
+    largest-magnitude component, is halved into the rotation e^{i beta/2}.
+    The leftover sign freedom phi -> -phi is fixed by requiring
+    Re(c) + Im(c) > 0 for the first component c of near-maximal magnitude;
+    this convention reproduces the reference closed forms of the two-level
+    model over the whole unbroken region.  All columns are processed at
+    once; an error names the first failing column.
 
     Returns ``(vectors, signs)`` with signs in {+1, -1}.
     """
     Pm = as_square_matrix(P, "parity")
-    vectors = []
-    signs = []
-    for n in range(es.dim):
-        phi = es.right_vectors[:, n]
-        nu = pt_inner_product(Pm, phi, phi)
-        if abs(nu) < EXCEPTIONAL_POINT_THRESHOLD * float(np.linalg.norm(phi)) ** 2:
-            raise SelfOrthogonalEigenvector(
-                f"eigenvector {n} has |(phi, phi)_PT| = {abs(nu):.3e}; "
-                "exceptional point"
-            )
-        sign = 1 if nu.real > 0 else -1
-        phi = phi / np.sqrt(abs(nu))
-        phi, ok = rephase_to_pt_invariant(phi, Pm)
-        if not ok:
-            raise NotPTSymmetric(
-                f"eigenvector {n} is not proportional to its PT image "
-                "(broken PT phase)"
-            )
-        mags = np.abs(phi)
-        j = int(np.nonzero(mags >= (1.0 - 1e-9) * mags.max())[0][0])
-        c = phi[j]
-        if c.real + c.imag < 0 or (abs(c.real + c.imag) < 1e-12 and c.real < 0):
-            phi = -phi
-        vectors.append(phi)
-        signs.append(sign)
-    return vectors, signs
+    V = np.array(es.right_vectors, dtype=complex)
+    PV = Pm @ V.conj()
+    nu = np.einsum("ij,ij->j", PV, V)
+    mag = np.hypot(nu.real, nu.imag)
+    degenerate = np.flatnonzero(
+        ~(mag > EXCEPTIONAL_POINT_THRESHOLD * np.linalg.norm(V, axis=0) ** 2)
+    )
+    # no column from the first self-orthogonal one on is divided by its |nu|
+    m = degenerate[0] if degenerate.size else es.dim
+    V, PV = V[:, :m], PV[:, :m]
+    scale = np.sqrt(mag[:m])
+    V /= scale
+    PV /= scale
+    cols = np.arange(m)
+    k = np.argmax(np.abs(V), axis=0)
+    ratio = PV[k, cols] / V[k, cols]
+    mod = np.hypot(ratio.real, ratio.imag)
+    broken = ~(np.abs(mod - 1.0) <= 1e-6)
+    # a column already found broken may have mod = 0: do not divide by it
+    rot = np.exp(0.5j * np.angle(ratio / np.where(broken, 1.0, mod)))
+    V *= rot
+    PV *= rot.conj()
+    PV -= V
+    bound = 1e-8 * np.maximum(np.linalg.norm(V, axis=0), 1.0)
+    broken |= ~(np.linalg.norm(PV, axis=0) <= bound)
+    if broken.any():
+        raise NotPTSymmetric(
+            f"eigenvector {np.argmax(broken)} is not proportional to its PT image "
+            "(broken PT phase)"
+        )
+    if m < es.dim:
+        raise SelfOrthogonalEigenvector(
+            f"eigenvector {m} has |(phi, phi)_PT| = {mag[m]:.3e}; "
+            "exceptional point"
+        )
+    mags = np.abs(V)
+    j = np.argmax(mags >= (1.0 - 1e-9) * mags.max(axis=0), axis=0)
+    c = V[j, cols]
+    tie = c.real + c.imag
+    flip = (tie < 0) | ((np.abs(tie) < 1e-12) & (c.real < 0))
+    np.negative(V, out=V, where=flip)
+    return list(V.T), np.where(nu.real > 0, 1, -1).tolist()
 
 
 def build_C(vectors) -> np.ndarray:

@@ -51,6 +51,23 @@ class TestTwoLevel:
             -np.tan(np.pi / 6), abs=1e-10
         )
 
+    def test_three_hermitian_eigendecompositions(self, capsys, monkeypatch):
+        # eta validated once when built, its square root in the canonical
+        # map, and the diagonalization of rho H rho^-1; the printed eta
+        # eigenvalues reuse the validator's
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        code, _ = run_cli(capsys, ["two-level"] + MODEL)
+        assert code == 0
+        assert calls == ["eigh"] * 3
+
     def test_byte_determinism(self, capsys):
         _, out1 = run_cli(capsys, ["two-level"] + MODEL)
         _, out2 = run_cli(capsys, ["two-level"] + MODEL)

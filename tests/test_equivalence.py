@@ -16,7 +16,7 @@ from ptqm.errors import (
     PseudoHermiticityViolated,
 )
 from ptqm.linalg import eig, is_self_adjoint_wrt, matrix_exponential
-from ptqm.metric import Metric, build_C, metric_from_CPT, pt_normalize
+from ptqm.metric import Metric
 from ptqm.two_level import (
     PARITY,
     SIGMA_0,
@@ -34,7 +34,7 @@ from ptqm.two_level import (
     heisenberg_S2_closed_form,
 )
 
-from conftest import random_valid_params
+from conftest import pt_symmetric_system, random_valid_params
 
 REFERENCE = TwoLevelParams(1.0, 1.0, np.pi / 6)
 PAULI = [SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3]
@@ -45,31 +45,6 @@ def reference_setup(p):
     C = C_closed_form(p)
     metric = Metric(eta_closed_form(p))
     return H, C, metric
-
-
-def pt_symmetric_system(n, rng, eps=0.2):
-    """(H, P, C, metric, O) for H = S H0 S^T with S = expm(i eps K), P the
-    flip matrix, H0 real symmetric of unit norm with P H0 P = H0 and K real
-    antisymmetric with P K P = -K; O = Phi o Phi^T with Phi the
-    PT-normalized eigenvectors and o real symmetric, block-diagonal in the
-    PT-norm signs, passes the symmetric/CPT-invariant check."""
-    P = np.eye(n)[::-1]
-    A = rng.normal(size=(n, n))
-    H0 = A + A.T
-    H0 = 0.5 * (H0 + P @ H0 @ P)
-    H0 /= np.linalg.norm(H0, 2)
-    K = A - A.T
-    K = 0.5 * (K - P @ K @ P)
-    S = matrix_exponential(1j * eps * K / np.linalg.norm(K, 2))
-    H = S @ H0 @ S.T
-    vectors, signs = pt_normalize(eig(H), P)
-    C = build_C(vectors)
-    metric = metric_from_CPT(C, P)
-    signs = np.array(signs)
-    B = rng.normal(size=(n, n))
-    o = (B + B.T) * (signs[:, None] == signs[None, :])
-    Phi = np.column_stack(vectors)
-    return H, P, C, metric, Phi @ (o / np.linalg.norm(o, 2)) @ Phi.T
 
 
 class TestBuildEquivalence:

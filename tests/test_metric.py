@@ -5,6 +5,7 @@ from ptqm.errors import (
     ComplexSpectrum,
     InvalidMetric,
     MetricNotPositive,
+    NotPTSymmetric,
     SelfOrthogonalEigenvector,
 )
 from ptqm.linalg import EigenSystem, eig, is_self_adjoint_wrt
@@ -17,6 +18,7 @@ from ptqm.metric import (
     metric_from_biorthonormal,
     pt_normalize,
 )
+from ptqm.pt import pt_inner_product
 from ptqm.two_level import (
     PARITY,
     SIGMA_1,
@@ -27,9 +29,21 @@ from ptqm.two_level import (
     eta_closed_form,
 )
 
-from conftest import random_valid_params
+from conftest import pt_symmetric_system, random_valid_params
 
 REFERENCE = TwoLevelParams(1.0, 1.0, np.pi / 6)
+FLIP4 = np.eye(4)[::-1]
+
+
+def columns_system(*columns):
+    """EigenSystem with the given right eigenvectors; pt_normalize reads
+    nothing else, so the eigenvalues and left vectors are placeholders."""
+    V = np.column_stack(columns).astype(complex)
+    return EigenSystem(
+        eigenvalues=np.arange(V.shape[1], 0, -1.0),
+        right_vectors=V,
+        left_vectors=np.zeros_like(V),
+    )
 
 
 def model_C(p):
@@ -73,6 +87,55 @@ class TestPTNormalize:
         H = V @ np.diag([2.0, 1.0]) @ V.conj().T
         with pytest.raises(SelfOrthogonalEigenvector):
             pt_normalize(eig(H), PARITY)
+
+    def test_broken_pt_vector_rejected(self):
+        # P conj(v) is not a multiple of v; in the second case it vanishes
+        # where v is largest, and in the third a zero column follows v
+        v = np.array([1.0, 2.0]) / np.sqrt(5.0)
+        for columns, P in (
+            ((v,), SIGMA_1),
+            ((np.array([1.0, 2.0, 0.0, 0.5]),), FLIP4),
+            ((v, np.zeros(2)), SIGMA_1),
+        ):
+            with pytest.raises(NotPTSymmetric, match="^eigenvector 0 "):
+                pt_normalize(columns_system(*columns), P)
+
+    def test_first_broken_column_is_named(self):
+        # columns 0, 1 and 3 are PT-invariant under the flip parity
+        system = columns_system(
+            [1.0, 0.0, 0.0, 1.0],
+            [1j, 0.0, 0.0, -1j],
+            [1.0, 2.0, 0.3, 0.1],
+            [0.0, 1.0, 1.0, 0.0],
+        )
+        with pytest.raises(NotPTSymmetric, match="^eigenvector 2 "):
+            pt_normalize(system, FLIP4)
+
+    def test_sign_tie_break(self):
+        # v is PT-invariant with self-product 0.5; its first largest
+        # component 1 - i has Re c + Im c = 0, so the sign follows Re c > 0
+        v = np.array([1 - 1j, 0.5, 0.5, 1 + 1j])
+        vectors, signs = pt_normalize(columns_system(-v), FLIP4)
+        np.testing.assert_allclose(vectors[0], v / np.sqrt(0.5), rtol=0, atol=1e-15)
+        assert signs == [1]
+
+    def test_matches_pt_inner_product_at_n64(self, rng):
+        H, P, *_ = pt_symmetric_system(64, rng)
+        vectors, signs = pt_normalize(eig(H), P)
+        assert sorted(set(signs)) == [-1, 1]
+        for phi, sign in zip(vectors, signs):
+            np.testing.assert_allclose(P @ phi.conj(), phi, rtol=0, atol=1e-10)
+            assert abs(pt_inner_product(P, phi, phi) - sign) < 1e-10
+
+    def test_zero_or_nan_column_rejected(self):
+        good = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        for columns, name in (
+            ((np.zeros(2),), "eigenvector 0"),
+            ((good, np.zeros(2)), "eigenvector 1"),
+            ((np.array([np.nan, 1.0]),), "eigenvector 0"),
+        ):
+            with pytest.raises(SelfOrthogonalEigenvector, match=f"^{name} "):
+                pt_normalize(columns_system(*columns), SIGMA_1)
 
 
 class TestBuildC:
