@@ -169,11 +169,12 @@ def _evolve_doc(args) -> str:
     psi0 = _parse_psi0(args.psi0) if args.psi0 else np.array([1.0 + 0j, 0.0 + 0j])
     lines = ["t,norm_dirac,norm_cpt"]
     for chunk in time_chunks(np.linspace(0.0, args.t_max, args.steps), H.shape[0]):
-        for t, propagator in zip(chunk, matrix_exponential(H, -1j * chunk)):
-            psi = propagator @ psi0
-            norm_dirac = float(np.sqrt((psi.conj() @ psi).real))
-            norm_cpt = float(np.sqrt(metric.cpt_inner_product(eta, psi, psi).real))
-            lines.append(",".join([_fmt(float(t)), _fmt(norm_dirac), _fmt(norm_cpt)]))
+        ket = (matrix_exponential(H, -1j * chunk) @ psi0)[:, :, None]
+        bra = ket.conj().transpose(0, 2, 1)
+        norm_dirac = np.sqrt((bra @ ket).real)[:, 0, 0]
+        norm_cpt = np.sqrt((bra @ eta.eta @ ket).real)[:, 0, 0]
+        for t, dirac, cpt in zip(chunk.tolist(), norm_dirac.tolist(), norm_cpt.tolist()):
+            lines.append(",".join([_fmt(t), _fmt(dirac), _fmt(cpt)]))
     return "\n".join(lines) + "\n"
 
 

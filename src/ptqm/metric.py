@@ -79,6 +79,9 @@ def pt_normalize(es: EigenSystem, P):
     """
     Pm = as_square_matrix(P, "parity")
     V = np.array(es.right_vectors, dtype=complex)
+    finite = np.isfinite(V).all(axis=0)
+    # zeroed before any product, a non-finite column counts as self-orthogonal
+    V[:, ~finite] = 0.0
     PV = Pm @ V.conj()
     nu = np.einsum("ij,ij->j", PV, V)
     mag = np.hypot(nu.real, nu.imag)
@@ -110,8 +113,8 @@ def pt_normalize(es: EigenSystem, P):
         )
     if m < es.dim:
         raise SelfOrthogonalEigenvector(
-            f"eigenvector {m} has |(phi, phi)_PT| = {mag[m]:.3e}; "
-            "exceptional point"
+            f"eigenvector {m} has |(phi, phi)_PT| = {mag[m]:.3e}; exceptional point"
+            if finite[m] else f"eigenvector {m} has non-finite entries"
         )
     mags = np.abs(V)
     j = np.argmax(mags >= (1.0 - 1e-9) * mags.max(axis=0), axis=0)

@@ -13,7 +13,12 @@ import io
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from ptqm import equivalence
 from ptqm.cli import main
+
+from conftest import pt_symmetric_system
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 MODEL = ["--r", "1.0", "--s", "1.0", "--theta", "0.5235987755982988"]
@@ -44,3 +49,20 @@ def test_every_layer_has_a_span_at_n2(monkeypatch):
     assert not missing
     # check evolves its grid with one stack each way, evolve with one
     assert tracer.counts["expm"] == 3
+
+
+def test_consistency_demo_has_spans_at_n64(monkeypatch, rng):
+    # the large_n workload runs a short demo at n = 64 and 256
+    H, P, C, metric, O = pt_symmetric_system(64, rng)
+    tracing = load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.operation(0, True):
+            equivalence.consistency_demo(H, C, P, metric, O, np.linspace(0.0, 1.0, 4))
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    for prefix in ("linalg.expm_s", "equivalence.heisenberg_step_s",
+                   "equivalence.check_bender_s", "equivalence.check_hermitian_s"):
+        assert f"{prefix}.n64" in names

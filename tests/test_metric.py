@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,18 @@ class TestPTNormalize:
         ):
             with pytest.raises(SelfOrthogonalEigenvector, match=f"^{name} "):
                 pt_normalize(columns_system(*columns), SIGMA_1)
+
+    def test_non_finite_column_rejected_without_warning(self):
+        good = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        for columns, name in (
+            ((np.array([np.inf, 1.0]),), "eigenvector 0"),
+            ((good, np.array([1.0, -np.inf])), "eigenvector 1"),
+            ((np.array([np.inf, np.nan]), good), "eigenvector 0"),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SelfOrthogonalEigenvector, match=f"^{name} "):
+                    pt_normalize(columns_system(*columns), SIGMA_1)
 
 
 class TestBuildC:
