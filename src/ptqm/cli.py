@@ -15,6 +15,7 @@ included), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -36,12 +37,9 @@ def _cmatrix(M: np.ndarray) -> list:
     return [[_cnum(z) for z in row] for row in np.asarray(M, dtype=complex)]
 
 
-def _fmt(x: float) -> str:
-    return "%.15g" % x
-
-
-def _bool(b: bool) -> str:
-    return "true" if b else "false"
+def _csv_row(values) -> str:
+    cells = [("true" if x else "false") if isinstance(x, bool) else "%.15g" % x for x in values]
+    return ",".join(cells)
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -96,33 +94,19 @@ def _two_level_doc(args) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _check_rows(args):
-    p, H, C, eta = _model(args)
-    period = math.pi / (p.s * math.cos(p.alpha))
-    times = np.linspace(0.0, period, args.steps)
-    rows = equivalence.consistency_demo(
-        H, C, two_level.PARITY, eta, two_level.S_mu(p, 2), times, args.tolerance
-    )
-    return p, period, rows
-
-
 def _check_doc(args) -> str:
     if args.steps < 2:
         raise InvalidInput("steps must be at least 2")
-    p, period, rows = _check_rows(args)
+    p, H, C, eta = _model(args)
+    period = math.pi / (p.s * math.cos(p.alpha))
+    rows = equivalence.consistency_demo(
+        H, C, two_level.PARITY, eta, two_level.S_mu(p, 2),
+        np.linspace(0.0, period, args.steps), args.tolerance,
+    )
+    records = [vars(row) for row in rows]
     if args.format == "csv":
-        lines = ["t,symmetric,cpt_invariant,eta_hermitian"]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(row.t),
-                        _bool(row.symmetric),
-                        _bool(row.cpt_invariant),
-                        _bool(row.eta_hermitian),
-                    ]
-                )
-            )
+        lines = [",".join(f.name for f in dataclasses.fields(equivalence.ConsistencyRow))]
+        lines += [_csv_row(record.values()) for record in records]
         return "\n".join(lines) + "\n"
     doc = {
         "command": "check",
@@ -131,15 +115,7 @@ def _check_doc(args) -> str:
         "theta": p.theta,
         "alpha": p.alpha,
         "period": period,
-        "rows": [
-            {
-                "t": row.t,
-                "symmetric": row.symmetric,
-                "cpt_invariant": row.cpt_invariant,
-                "eta_hermitian": row.eta_hermitian,
-            }
-            for row in rows
-        ],
+        "rows": records,
         "summary": {
             "bender_criterion_dynamically_stable": all(
                 row.symmetric and row.cpt_invariant for row in rows
@@ -174,7 +150,7 @@ def _evolve_doc(args) -> str:
         norm_dirac = np.sqrt((bra @ ket).real)[:, 0, 0]
         norm_cpt = np.sqrt((bra @ eta.eta @ ket).real)[:, 0, 0]
         for t, dirac, cpt in zip(chunk.tolist(), norm_dirac.tolist(), norm_cpt.tolist()):
-            lines.append(",".join([_fmt(t), _fmt(dirac), _fmt(cpt)]))
+            lines.append(_csv_row((t, dirac, cpt)))
     return "\n".join(lines) + "\n"
 
 

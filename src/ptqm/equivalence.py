@@ -46,7 +46,6 @@ class EquivalencePair:
 
     U: np.ndarray
     h: np.ndarray
-    eta: Metric
 
 
 def _require_pseudo_hermitian(H: np.ndarray, eta: np.ndarray, tol: float):
@@ -82,7 +81,7 @@ def build_equivalence(H, metric: Metric, tol: float = DEFAULT_TOL) -> Equivalenc
     V /= c / np.hypot(c.real, c.imag)
     U = V.conj().T @ rho
     h = U @ Hm @ np.linalg.inv(U)
-    return EquivalencePair(U=U, h=h, eta=metric)
+    return EquivalencePair(U=U, h=h)
 
 
 def build_equivalence_pt(H, P, tol: float = DEFAULT_TOL) -> EquivalencePair:
@@ -94,10 +93,10 @@ def build_equivalence_pt(H, P, tol: float = DEFAULT_TOL) -> EquivalencePair:
     n-th standard basis vector, so h is diagonal with descending entries.
     """
     Hm = as_square_matrix(H, "Hamiltonian")
-    vectors, _, metric = cpt_system(Hm, P, tol)
-    U = (metric.eta @ np.array(vectors).T).conj().T
+    Phi, _, metric = cpt_system(Hm, P, tol)
+    U = (metric.eta @ Phi).conj().T
     h = U @ Hm @ np.linalg.inv(U)
-    return EquivalencePair(U=U, h=h, eta=metric)
+    return EquivalencePair(U=U, h=h)
 
 
 def pull_back_observable(pair: EquivalencePair, o, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -56,7 +56,7 @@ class SelfOrthogonalEigenvector(NumericalFailure):
 
 
 class MetricNotPositive(NumericalFailure):
-    """The CPT metric came out non-positive (broken phase or sign error)."""
+    """A metric built from H came out non-positive (broken phase, sign error, singular V)."""
 
 
 class ComplexSpectrum(NumericalFailure):

@@ -1,6 +1,6 @@
 """Dense complex linear algebra: eigendecomposition with biorthonormal
-left/right pairs, matrix exponential, Hermitian square root, and
-self-adjointness relative to a metric.
+left/right pairs, matrix exponential, Hermitian square root, the validated
+metric record, and self-adjointness relative to a metric.
 
 All routines are pure functions on square complex ``numpy`` arrays.  The
 default tolerance ``DEFAULT_TOL`` is relative in the Frobenius norm.
@@ -8,7 +8,7 @@ default tolerance ``DEFAULT_TOL`` is relative in the Frobenius norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -150,14 +150,27 @@ def hermitian_sqrt(P, tol: float = DEFAULT_TOL) -> np.ndarray:
     return 0.5 * (root + root.conj().T)
 
 
-def check_metric_matrix(eta, tol: float = DEFAULT_TOL):
-    """Validate that eta is Hermitian positive-definite; return it coerced,
-    with its ascending eigenvalues."""
-    try:
-        A, w, _ = _positive_eigensystem(eta, tol, "metric")
-    except NotPositiveDefinite as exc:
-        raise InvalidMetric(str(exc)) from exc
-    return A, w
+@dataclass(frozen=True)
+class Metric:
+    """Hermitian positive-definite matrix of a physical inner product,
+    validated once, when built, at tolerance ``tol``; ``eigenvalues`` are
+    the ascending eigenvalues the validation computed."""
+
+    eta: np.ndarray
+    tol: float = DEFAULT_TOL
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        try:
+            eta, w, _ = _positive_eigensystem(self.eta, self.tol, "metric")
+        except NotPositiveDefinite as exc:
+            raise InvalidMetric(str(exc)) from exc
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "eigenvalues", w)
+
+    @property
+    def dim(self) -> int:
+        return self.eta.shape[0]
 
 
 def intertwines(Am: np.ndarray, eta: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -173,7 +186,7 @@ def intertwines(Am: np.ndarray, eta: np.ndarray, tol: float = DEFAULT_TOL) -> bo
 def is_self_adjoint_wrt(A, eta, tol: float = DEFAULT_TOL) -> bool:
     """True iff A is self-adjoint in the inner product <psi, phi> = psi^dagger eta phi.
 
-    Validates eta, then tests the intertwining relation eta A = A^dagger eta
-    with :func:`intertwines`.
+    Validates eta as a :class:`Metric`, then tests the intertwining relation
+    eta A = A^dagger eta with :func:`intertwines`.
     """
-    return intertwines(as_square_matrix(A), check_metric_matrix(eta, tol)[0], tol)
+    return intertwines(as_square_matrix(A), Metric(eta, tol).eta, tol)

@@ -15,8 +15,6 @@ spectrum: eta_b = sum_n chi_n chi_n^dagger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import (
@@ -30,35 +28,15 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     EigenSystem,
+    Metric,
     as_square_matrix,
     as_vector,
-    check_metric_matrix,
     eig,
 )
 
 #: Below this PT self-product magnitude an eigenvector counts as
 #: self-orthogonal: normalization would amplify noise past test tolerances.
 EXCEPTIONAL_POINT_THRESHOLD = 1e-8
-
-
-@dataclass(frozen=True)
-class Metric:
-    """Hermitian positive-definite matrix of a physical inner product,
-    validated once, when built, at tolerance ``tol``; ``eigenvalues`` are
-    the ascending eigenvalues the validation computed."""
-
-    eta: np.ndarray
-    tol: float = DEFAULT_TOL
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        eta, w = check_metric_matrix(self.eta, self.tol)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "eigenvalues", w)
-
-    @property
-    def dim(self) -> int:
-        return self.eta.shape[0]
 
 
 def pt_normalize(es: EigenSystem, P):
@@ -75,10 +53,14 @@ def pt_normalize(es: EigenSystem, P):
     model over the whole unbroken region.  All columns are processed at
     once; an error names the first failing column.
 
-    Returns ``(vectors, signs)`` with signs in {+1, -1}.
+    Returns ``(Phi, signs)``: the n x m matrix whose columns are the
+    PT-normalized phi_n, in the layout of ``es.right_vectors``, and their
+    signs in {+1, -1}.
     """
     Pm = as_square_matrix(P, "parity")
     V = np.array(es.right_vectors, dtype=complex)
+    if Pm.shape[0] != V.shape[0]:
+        raise DimensionMismatch("parity and eigenvector dimensions differ")
     finite = np.isfinite(V).all(axis=0)
     # zeroed before any product, a non-finite column counts as self-orthogonal
     V[:, ~finite] = 0.0
@@ -122,19 +104,31 @@ def pt_normalize(es: EigenSystem, P):
     tie = c.real + c.imag
     flip = (tie < 0) | ((np.abs(tie) < 1e-12) & (c.real < 0))
     np.negative(V, out=V, where=flip)
-    return list(V.T), np.where(nu.real > 0, 1, -1).tolist()
+    return V, np.where(nu.real > 0, 1, -1).tolist()
 
 
-def build_C(vectors) -> np.ndarray:
-    """C = sum_n phi_n phi_n^T from PT-normalized eigenvectors."""
-    if not vectors:
-        raise DimensionMismatch("no eigenvectors supplied")
-    dim = len(vectors[0])
-    C = np.zeros((dim, dim), dtype=complex)
-    for phi in vectors:
-        v = as_vector(phi, dim, "eigenvector")
+def build_C(Phi) -> np.ndarray:
+    """C = sum_n phi_n phi_n^T over the columns phi_n of the n x m matrix
+    ``Phi`` of PT-normalized eigenvectors; m < n gives C on their span."""
+    Phi = np.asarray(Phi, dtype=complex)
+    if Phi.ndim != 2 or Phi.size == 0:
+        raise DimensionMismatch(f"eigenvectors must form a non-empty matrix, got {Phi.shape}")
+    # column by column: Phi @ Phi.T differs in the last bits the goldens print;
+    # an F-ordered C, as np.zeros_like(Phi) gives, makes the sum 3.5x slower
+    C = np.zeros((Phi.shape[0], Phi.shape[0]), dtype=complex)
+    for v in Phi.T:
         C += np.outer(v, v)
     return C
+
+
+def _constructed_metric(eta, tol: float, source: str) -> Metric:
+    """``Metric(eta, tol)`` for an eta built from H: a failed validation is
+    a breakdown of the construction, raised as :class:`MetricNotPositive`
+    with ``source`` prefixed to the message."""
+    try:
+        return Metric(eta, tol)
+    except InvalidMetric as exc:
+        raise MetricNotPositive(f"{source} {exc}") from exc
 
 
 def metric_from_CPT(C, P, tol: float = DEFAULT_TOL) -> Metric:
@@ -148,22 +142,20 @@ def metric_from_CPT(C, P, tol: float = DEFAULT_TOL) -> Metric:
     Pm = as_square_matrix(P, "parity")
     if Cm.shape != Pm.shape:
         raise DimensionMismatch("C and P dimensions differ")
-    try:
-        return Metric(Pm.T @ Cm.T, tol)
-    except InvalidMetric as exc:
-        raise MetricNotPositive(f"CPT {exc}") from exc
+    return _constructed_metric(Pm.T @ Cm.T, tol, "CPT")
 
 
 def cpt_system(H, P, tol: float = DEFAULT_TOL):
     """The chain from (H, P) to the CPT metric: eigendecomposition,
     PT normalization, C and eta.
 
-    Returns ``(vectors, C, eta)`` with the PT-normalized eigenvectors in
-    the eigenvalue order of :func:`~ptqm.linalg.eig`.
+    Returns ``(Phi, C, eta)`` with the columns of ``Phi`` the
+    PT-normalized eigenvectors, in the eigenvalue order of
+    :func:`~ptqm.linalg.eig`.
     """
-    vectors, _ = pt_normalize(eig(H, tol), P)
-    C = build_C(vectors)
-    return vectors, C, metric_from_CPT(C, P, tol)
+    Phi, _ = pt_normalize(eig(H, tol), P)
+    C = build_C(Phi)
+    return Phi, C, metric_from_CPT(C, P, tol)
 
 
 def cpt_inner_product(metric: Metric, psi, phi) -> complex:
@@ -177,7 +169,9 @@ def metric_from_biorthonormal(es: EigenSystem, tol: float = DEFAULT_TOL) -> Metr
     """eta_b = sum_n chi_n chi_n^dagger from the left eigenvectors.
 
     Requires a real spectrum; eta_b then intertwines the source matrix
-    with its adjoint, eta_b H = H^dagger eta_b.
+    with its adjoint, eta_b H = H^dagger eta_b.  eta_b = L L^dagger is
+    positive by construction, so a failed positivity test at ``tol`` (a
+    near-singular eigenvector matrix) raises :class:`MetricNotPositive`.
     """
     w = es.eigenvalues
     scale = max(np.abs(w).max(), 1.0)
@@ -188,4 +182,4 @@ def metric_from_biorthonormal(es: EigenSystem, tol: float = DEFAULT_TOL) -> Metr
         )
     L = es.left_vectors
     eta = L @ L.conj().T
-    return Metric(0.5 * (eta + eta.conj().T), tol)
+    return _constructed_metric(0.5 * (eta + eta.conj().T), tol, "biorthonormal")

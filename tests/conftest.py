@@ -39,13 +39,12 @@ def pt_symmetric_system(n, rng, eps=0.2):
     K = 0.5 * (K - P @ K @ P)
     S = matrix_exponential(1j * eps * K / np.linalg.norm(K, 2))
     H = S @ H0 @ S.T
-    vectors, signs = pt_normalize(eig(H), P)
-    C = build_C(vectors)
+    Phi, signs = pt_normalize(eig(H), P)
+    C = build_C(Phi)
     metric = metric_from_CPT(C, P)
     signs = np.array(signs)
     B = rng.normal(size=(n, n))
     o = (B + B.T) * (signs[:, None] == signs[None, :])
-    Phi = np.column_stack(vectors)
     return H, P, C, metric, Phi @ (o / np.linalg.norm(o, 2)) @ Phi.T
 
 

@@ -7,6 +7,13 @@ out: its last digits depend on the BLAS thread count.
 Re-record after an intended output change with
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+The goldens pin ten argv.  ``tests/cli_sweep.py`` covers 900 seeded ones,
+near-EP draws included, and prints one sha256 over all their outputs; a
+change that must keep CLI output byte-identical prints the same digest
+before and after it:
+
+    PYTHONPATH=src python tests/cli_sweep.py
 """
 
 import contextlib

@@ -3,8 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
+from ptqm.equivalence import build_equivalence_pt
 from ptqm.errors import (
     ComplexSpectrum,
+    DimensionMismatch,
     InvalidMetric,
     MetricNotPositive,
     NotPTSymmetric,
@@ -48,6 +50,13 @@ def columns_system(*columns):
     )
 
 
+def near_ep_params(rng):
+    """s = 1, theta = pi/6 and r = 2(1 - d), with d = 1 - |r sin(theta)/s|
+    log-uniform in 1e-12 ... 1e-1."""
+    d = 10.0 ** rng.uniform(-12.0, -1.0)
+    return TwoLevelParams(2.0 * (1.0 - d), 1.0, np.pi / 6)
+
+
 def model_C(p):
     es = eig(build_H(p))
     vectors, _ = pt_normalize(es, PARITY)
@@ -61,14 +70,14 @@ class TestPTNormalize:
         a = p.alpha
         pref = 1.0 / np.sqrt(2.0 * np.cos(a))
         es = eig(build_H(p))
-        vectors, signs = pt_normalize(es, PARITY)
+        Phi, signs = pt_normalize(es, PARITY)
         np.testing.assert_allclose(
-            vectors[0],
+            Phi[:, 0],
             pref * np.array([np.exp(1j * a / 2), np.exp(-1j * a / 2)]),
             atol=1e-14,
         )
         np.testing.assert_allclose(
-            vectors[1],
+            Phi[:, 1],
             pref * np.array([1j * np.exp(-1j * a / 2), -1j * np.exp(1j * a / 2)]),
             atol=1e-14,
         )
@@ -78,9 +87,30 @@ class TestPTNormalize:
         for _ in range(30):
             p = random_valid_params(rng)
             es = eig(build_H(p))
-            vectors, _ = pt_normalize(es, PARITY)
-            for phi in vectors:
+            Phi, _ = pt_normalize(es, PARITY)
+            for phi in Phi.T:
                 np.testing.assert_allclose(PARITY @ phi.conj(), phi, atol=1e-10)
+
+    def test_returns_matrix_of_pt_invariant_columns(self, rng):
+        v = np.array([1 - 1j, 0.5, 0.5, 1 + 1j])
+        H64, P64, *_ = pt_symmetric_system(64, rng)
+        for es, P, shape in (
+            (eig(build_H(REFERENCE)), PARITY, (2, 2)),
+            (columns_system(v), FLIP4, (4, 1)),
+            (eig(H64), P64, (64, 64)),
+        ):
+            Phi, _ = pt_normalize(es, P)
+            assert isinstance(Phi, np.ndarray) and Phi.shape == shape
+            np.testing.assert_allclose(P @ Phi.conj(), Phi, rtol=0, atol=1e-10)
+
+    def test_parity_of_wrong_size_rejected(self):
+        H = build_H(REFERENCE)
+        for build in (lambda P: pt_normalize(eig(H), P), lambda P: cpt_system(H, P),
+                      lambda P: build_equivalence_pt(H, P)):
+            with pytest.raises(
+                DimensionMismatch, match="^parity and eigenvector dimensions differ$"
+            ):
+                build(np.eye(3))
 
     def test_self_orthogonal_vector_rejected(self):
         # (1, i) is exactly PT-self-orthogonal for P = sigma_1; a matrix
@@ -117,15 +147,15 @@ class TestPTNormalize:
         # v is PT-invariant with self-product 0.5; its first largest
         # component 1 - i has Re c + Im c = 0, so the sign follows Re c > 0
         v = np.array([1 - 1j, 0.5, 0.5, 1 + 1j])
-        vectors, signs = pt_normalize(columns_system(-v), FLIP4)
-        np.testing.assert_allclose(vectors[0], v / np.sqrt(0.5), rtol=0, atol=1e-15)
+        Phi, signs = pt_normalize(columns_system(-v), FLIP4)
+        np.testing.assert_allclose(Phi[:, 0], v / np.sqrt(0.5), rtol=0, atol=1e-15)
         assert signs == [1]
 
     def test_matches_pt_inner_product_at_n64(self, rng):
         H, P, *_ = pt_symmetric_system(64, rng)
-        vectors, signs = pt_normalize(eig(H), P)
+        Phi, signs = pt_normalize(eig(H), P)
         assert sorted(set(signs)) == [-1, 1]
-        for phi, sign in zip(vectors, signs):
+        for phi, sign in zip(Phi.T, signs):
             np.testing.assert_allclose(P @ phi.conj(), phi, rtol=0, atol=1e-10)
             assert abs(pt_inner_product(P, phi, phi) - sign) < 1e-10
 
@@ -180,6 +210,35 @@ class TestBuildC:
             H, C = build_H(p), model_C(p)
             np.testing.assert_allclose(C @ H, H @ C, atol=1e-10)
 
+    def test_equals_per_column_sum_bit_for_bit(self, rng):
+        # the two-level goldens print the last bits of this sum order
+        draws = [random_valid_params(rng) for _ in range(200)]
+        draws += [near_ep_params(rng) for _ in range(50)]
+        for p in draws:
+            Phi, _ = pt_normalize(eig(build_H(p)), PARITY)
+            reference = np.zeros((2, 2), dtype=complex)
+            for j in range(Phi.shape[1]):
+                reference += np.outer(Phi[:, j], Phi[:, j])
+            # byte equality also tells -0.0 from 0.0
+            assert build_C(Phi).tobytes() == reference.tobytes()
+
+    def test_columns_of_a_subspace(self, rng):
+        # phi_m^T phi_n = sign_n delta_mn, so C_k = sum_{n < k} phi_n phi_n^T
+        # acts as the sign on the k columns it is built from and as 0 on the rest
+        H, P, *_ = pt_symmetric_system(64, rng)
+        Phi, signs = pt_normalize(eig(H), P)
+        k = 6
+        C_k = build_C(Phi[:, :k])
+        assert C_k.shape == (64, 64)
+        expected = np.zeros_like(Phi)
+        expected[:, :k] = Phi[:, :k] * signs[:k]
+        np.testing.assert_allclose(C_k @ Phi, expected, rtol=0, atol=1e-9)
+
+    def test_rejects_empty_or_one_dimensional(self):
+        for Phi in (np.zeros((2, 0)), np.ones(2)):
+            with pytest.raises(DimensionMismatch):
+                build_C(Phi)
+
 
 class TestMetricFromCPT:
     def test_closed_form(self, rng):
@@ -227,12 +286,12 @@ class TestCPTInnerProduct:
         for _ in range(20):
             p = random_valid_params(rng)
             es = eig(build_H(p))
-            vectors, _ = pt_normalize(es, PARITY)
-            metric = metric_from_CPT(build_C(vectors), PARITY)
+            Phi, _ = pt_normalize(es, PARITY)
+            metric = metric_from_CPT(build_C(Phi), PARITY)
             gram = np.array(
                 [
-                    [cpt_inner_product(metric, u, v) for v in vectors]
-                    for u in vectors
+                    [cpt_inner_product(metric, u, v) for v in Phi.T]
+                    for u in Phi.T
                 ]
             )
             np.testing.assert_allclose(gram, np.eye(2), atol=1e-10)
@@ -298,7 +357,10 @@ class TestCallerTolerance:
         np.testing.assert_allclose(
             metric_from_biorthonormal(es, tol=1e-12).eta, self.THIN, rtol=1e-15
         )
-        with pytest.raises(InvalidMetric):
+        with pytest.raises(
+            MetricNotPositive,
+            match="^biorthonormal metric has non-positive eigenvalue 1.000e-11$",
+        ):
             metric_from_biorthonormal(es, tol=1e-10)
 
     def test_metric_defaults_to_default_tol(self):

@@ -52,7 +52,8 @@ class TestRephase:
             es = EigenSystem(
                 eigenvalues=np.ones(1), right_vectors=v[:, None], left_vectors=v[:, None]
             )
-            (out,), _ = pt_normalize(es, P)
+            Phi, _ = pt_normalize(es, P)
+            out = Phi[:, 0]
             assert np.linalg.norm(P @ out.conj() - out) < 1e-8 * np.linalg.norm(out)
             np.testing.assert_allclose(
                 np.abs(out) * np.linalg.norm(v), np.abs(v) * np.linalg.norm(out)
