@@ -30,9 +30,9 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    _sqrt_from_eigensystem,
     as_square_matrix,
     frobenius,
-    hermitian_sqrt,
     intertwines,
     matrix_exponential,
     time_chunks,
@@ -63,14 +63,16 @@ def build_equivalence(H, metric: Metric, tol: float = DEFAULT_TOL) -> Equivalenc
 
     The resulting h = U H U^{-1} is diagonal with real entries.
     Eigenvector phases in W: first component of magnitude above
-    1e-12 of the maximum is made real positive.
+    1e-12 of the maximum is made real positive.  rho comes from the
+    eigensystem ``metric`` was validated with, at its own tolerance;
+    ``tol`` bounds the pseudo-Hermiticity residual of H.
     """
     Hm = as_square_matrix(H, "Hamiltonian")
     eta = metric.eta
     if Hm.shape != eta.shape:
         raise DimensionMismatch("Hamiltonian and metric dimensions differ")
     _require_pseudo_hermitian(Hm, eta, tol)
-    rho = hermitian_sqrt(eta, tol)
+    rho = _sqrt_from_eigensystem(metric.eigenvalues, metric.eigenvectors)
     h0 = rho @ Hm @ np.linalg.inv(rho)
     h0 = 0.5 * (h0 + h0.conj().T)
     w, V = np.linalg.eigh(h0)

@@ -4,6 +4,9 @@ metric record, and self-adjointness relative to a metric.
 
 All routines are pure functions on square complex ``numpy`` arrays.  The
 default tolerance ``DEFAULT_TOL`` is relative in the Frobenius norm.
+
+Importing this module loads numpy only: the first call of
+:func:`matrix_exponential` imports ``scipy.linalg``, once per process.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -120,6 +122,8 @@ def matrix_exponential(M, times=None) -> np.ndarray:
     shape ``(len(times), n, n)``, from one batched ``expm`` call; each
     slice equals ``matrix_exponential(t * M)`` bit for bit.
     """
+    import scipy.linalg
+
     A = as_square_matrix(M)
     if times is None:
         return scipy.linalg.expm(A)
@@ -143,30 +147,39 @@ def _positive_eigensystem(M, tol: float, name: str):
     return A, w, Q
 
 
+def _sqrt_from_eigensystem(w: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """(Q sqrt(w)) Q^dagger, symmetrized: the Hermitian square root of the
+    positive matrix whose ``eigh`` gave ``w`` and ``Q``."""
+    root = (Q * np.sqrt(w)) @ Q.conj().T
+    return 0.5 * (root + root.conj().T)
+
+
 def hermitian_sqrt(P, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Hermitian positive-definite square root rho of P, rho^2 = P."""
     _, w, Q = _positive_eigensystem(P, tol, "matrix")
-    root = (Q * np.sqrt(w)) @ Q.conj().T
-    return 0.5 * (root + root.conj().T)
+    return _sqrt_from_eigensystem(w, Q)
 
 
 @dataclass(frozen=True)
 class Metric:
     """Hermitian positive-definite matrix of a physical inner product,
     validated once, when built, at tolerance ``tol``; ``eigenvalues`` are
-    the ascending eigenvalues the validation computed."""
+    the ascending eigenvalues the validation computed and the columns of
+    ``eigenvectors`` their orthonormal eigenvectors."""
 
     eta: np.ndarray
     tol: float = DEFAULT_TOL
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
-            eta, w, _ = _positive_eigensystem(self.eta, self.tol, "metric")
+            eta, w, Q = _positive_eigensystem(self.eta, self.tol, "metric")
         except NotPositiveDefinite as exc:
             raise InvalidMetric(str(exc)) from exc
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "eigenvalues", w)
+        object.__setattr__(self, "eigenvectors", Q)
 
     @property
     def dim(self) -> int:

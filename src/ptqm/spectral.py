@@ -30,6 +30,10 @@ p^2 + 4 x^4 - 2 x to 1e-7.
 
 Eigenvectors leaking more than 1% of their norm into the outer 10% of the
 box are discarded as box artifacts.
+
+Importing this module loads numpy only: the first grid assembly imports
+``scipy.sparse``, and the first grid solve ``scipy.sparse.linalg``, once
+per process.
 """
 
 from __future__ import annotations
@@ -37,8 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import InvalidParams, NumericalFailure, OutOfRegime
 
@@ -103,6 +105,8 @@ def _potential(x: np.ndarray, nu: float) -> np.ndarray:
 def _operator(nu: float, L: float, N: int):
     """(N-2) x (N-2) sparse complex symmetric matrix of the operator on the
     contour, and the grid spacing in t."""
+    import scipy.sparse as sp
+
     h = 2.0 * L / (N - 1)
     a = np.tan(np.pi * nu / (2.0 * (nu + 4.0)))
 
@@ -130,6 +134,8 @@ def _solve_grid(nu: float, L: float, N: int, k: int):
 
     Returns (eigenvalues ascending by real part, grid spacing).
     """
+    import scipy.sparse.linalg as spla
+
     A, h = _operator(nu, L, N)
     n = N - 2
     want = min(k + 4, n - 2) if n > 4 else n

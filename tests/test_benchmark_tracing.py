@@ -66,3 +66,21 @@ def test_consistency_demo_has_spans_at_n64(monkeypatch, rng):
     for prefix in ("linalg.expm_s", "equivalence.heisenberg_step_s",
                    "equivalence.check_bender_s", "equivalence.check_hermitian_s"):
         assert f"{prefix}.n64" in names
+
+
+def test_spectrum_grid_solves_are_seen(monkeypatch):
+    # the tracer patches scipy.sparse.linalg.eigs on its module, so ptqm
+    # must look the solver up there at call time
+    tracing = load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.operation(0, True), contextlib.redirect_stdout(io.StringIO()):
+            assert main(["spectrum", "--nu", "0.5", "--k", "3"]) == 0
+    finally:
+        tracer.uninstall()
+    spectra = [i for i, span in enumerate(tracer.spans) if span[0] == "spectral.spectrum"]
+    assert len(spectra) == 1
+    solves = [span for span in tracer.spans
+              if span[0] in tracing.GRID_SOLVES and span[3] == spectra[0]]
+    assert len(solves) == 3

@@ -52,10 +52,10 @@ class TestTwoLevel:
             -np.tan(np.pi / 6), abs=1e-10
         )
 
-    def test_three_hermitian_eigendecompositions(self, capsys, monkeypatch):
-        # eta validated once when built, its square root in the canonical
-        # map, and the diagonalization of rho H rho^-1; the printed eta
-        # eigenvalues reuse the validator's
+    def test_two_hermitian_eigendecompositions(self, capsys, monkeypatch):
+        # eta validated once when built and the diagonalization of
+        # rho H rho^-1; the square root in the canonical map and the
+        # printed eta eigenvalues reuse the validator's eigensystem
         calls = []
         for name in ("eigh", "eigvalsh"):
             original = getattr(np.linalg, name)
@@ -67,7 +67,7 @@ class TestTwoLevel:
             monkeypatch.setattr(np.linalg, name, counting)
         code, _ = run_cli(capsys, ["two-level"] + MODEL)
         assert code == 0
-        assert calls == ["eigh"] * 3
+        assert calls == ["eigh"] * 2
 
     def test_byte_determinism(self, capsys):
         _, out1 = run_cli(capsys, ["two-level"] + MODEL)
