@@ -1,13 +1,13 @@
 """Numerical toolkit for PT-symmetric quantum mechanics.
 
 Subpackages cover dense complex linear algebra with biorthonormal
-eigensystems, the PT inner product, charge-conjugation and metric
-operators, the unitary equivalence to ordinary Hermitian quantum
-mechanics, closed forms of the 2x2 model, and a finite-difference solver
-verifying spectral reality of p^2 + x^2 (i x)^nu for 0 <= nu < 2.
+eigensystems, PT normalization, charge-conjugation and metric operators,
+the unitary equivalence to ordinary Hermitian quantum mechanics, closed
+forms of the 2x2 model, and a finite-difference solver for the
+Richardson-extrapolated spectrum of p^2 + x^2 (i x)^nu for 0 <= nu < 2.
 """
 
-from . import equivalence, errors, linalg, metric, pt, spectral, two_level
+from . import equivalence, errors, linalg, metric, spectral, two_level
 from .equivalence import (
     BenderCheck,
     EquivalencePair,
@@ -23,21 +23,17 @@ from .linalg import (
     DEFAULT_TOL,
     EigenSystem,
     eig,
-    hermitian_sqrt,
-    is_self_adjoint_wrt,
     matrix_exponential,
 )
 from .metric import (
     Metric,
     build_C,
-    cpt_inner_product,
     cpt_system,
     metric_from_CPT,
     metric_from_biorthonormal,
     pt_normalize,
 )
-from .pt import pt_inner_product
-from .spectral import SpectralProblem, SpectrumResult, potential, spectrum, verify_reality
+from .spectral import SpectralProblem, SpectrumResult, potential, spectrum
 from .two_level import (
     PARITY,
     S_mu,

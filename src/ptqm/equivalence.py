@@ -30,10 +30,9 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    _sqrt_from_eigensystem,
     as_square_matrix,
     frobenius,
-    intertwines,
+    intertwining_residual,
     matrix_exponential,
     time_chunks,
 )
@@ -48,15 +47,6 @@ class EquivalencePair:
     h: np.ndarray
 
 
-def _require_pseudo_hermitian(H: np.ndarray, eta: np.ndarray, tol: float):
-    lhs = eta @ H
-    resid = frobenius(lhs - H.conj().T @ eta)
-    if resid > tol * max(frobenius(lhs), 1.0):
-        raise PseudoHermiticityViolated(
-            f"||eta H - H^dagger eta|| = {resid:.3e} exceeds tolerance"
-        )
-
-
 def build_equivalence(H, metric: Metric, tol: float = DEFAULT_TOL) -> EquivalencePair:
     """Canonical U = W rho with rho = sqrt(eta) and W the unitary
     diagonalizing rho H rho^{-1}, eigenvalues descending.
@@ -65,14 +55,17 @@ def build_equivalence(H, metric: Metric, tol: float = DEFAULT_TOL) -> Equivalenc
     Eigenvector phases in W: first component of magnitude above
     1e-12 of the maximum is made real positive.  rho comes from the
     eigensystem ``metric`` was validated with, at its own tolerance;
-    ``tol`` bounds the pseudo-Hermiticity residual of H.
+    ``tol`` bounds the relative pseudo-Hermiticity residual of H.
     """
     Hm = as_square_matrix(H, "Hamiltonian")
-    eta = metric.eta
-    if Hm.shape != eta.shape:
-        raise DimensionMismatch("Hamiltonian and metric dimensions differ")
-    _require_pseudo_hermitian(Hm, eta, tol)
-    rho = _sqrt_from_eigensystem(metric.eigenvalues, metric.eigenvectors)
+    resid = intertwining_residual(Hm, metric.eta)
+    if resid > tol:
+        raise PseudoHermiticityViolated(
+            f"||eta H - H^dagger eta|| / ||eta H|| = {resid:.3e} exceeds tolerance {tol:.3e}"
+        )
+    Q = metric.eigenvectors
+    rho = (Q * np.sqrt(metric.eigenvalues)) @ Q.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
     h0 = rho @ Hm @ np.linalg.inv(rho)
     h0 = 0.5 * (h0 + h0.conj().T)
     w, V = np.linalg.eigh(h0)
@@ -186,7 +179,7 @@ def check_observable_hermitian(O, metric: Metric, tol: float = DEFAULT_TOL) -> b
     ``metric`` was validated when it was built, so only the intertwining
     relation eta O = O^dagger eta is tested.
     """
-    return intertwines(as_square_matrix(O, "observable"), metric.eta, tol)
+    return intertwining_residual(as_square_matrix(O, "observable"), metric.eta) <= tol
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ class DimensionMismatch(InvalidInput):
 
 
 class InvalidParams(InvalidInput):
-    """Two-level parameters outside the unbroken region (s = 0 or |r sin(theta)/s| >= 1)."""
+    """Model parameters outside their domain (non-finite, s = 0 or |r sin(theta)/s| >= 1)."""
 
 
 class InvalidMetric(InvalidInput):
@@ -36,15 +36,11 @@ class NotHermitianInput(InvalidInput):
 
 
 class OutOfRegime(InvalidInput):
-    """Anharmonicity exponent outside [0, 2), where the real-line eigenproblem is valid."""
+    """Anharmonicity exponent outside [0, 2), the regime of the contour eigenproblem."""
 
 
 class NonDiagonalizable(NumericalFailure):
     """Eigendecomposition failed to reconstruct the input (exceptional point)."""
-
-
-class NotPositiveDefinite(NumericalFailure):
-    """Matrix square root requested of a non-positive-definite matrix."""
 
 
 class NotPTSymmetric(NumericalFailure):

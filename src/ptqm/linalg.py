@@ -1,6 +1,6 @@
 """Dense complex linear algebra: eigendecomposition with biorthonormal
-left/right pairs, matrix exponential, Hermitian square root, the validated
-metric record, and self-adjointness relative to a metric.
+left/right pairs, matrix exponential, the validated metric record, and
+the eta-intertwining test.
 
 All routines are pure functions on square complex ``numpy`` arrays.  The
 default tolerance ``DEFAULT_TOL`` is relative in the Frobenius norm.
@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidMetric,
-    NonDiagonalizable,
-    NotPositiveDefinite,
-)
+from .errors import DimensionMismatch, InvalidMetric, NonDiagonalizable
 
 DEFAULT_TOL = 1e-10
 
@@ -33,15 +28,6 @@ def as_square_matrix(M, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(A).all():
         raise DimensionMismatch(f"{name} contains non-finite entries")
     return A
-
-
-def as_vector(psi, dim: int | None = None, name: str = "vector") -> np.ndarray:
-    v = np.asarray(psi, dtype=complex)
-    if v.ndim != 1:
-        raise DimensionMismatch(f"{name} must be one-dimensional, got shape {v.shape}")
-    if dim is not None and v.shape[0] != dim:
-        raise DimensionMismatch(f"{name} has length {v.shape[0]}, expected {dim}")
-    return v
 
 
 def frobenius(M: np.ndarray) -> float:
@@ -133,33 +119,6 @@ def matrix_exponential(M, times=None) -> np.ndarray:
     return scipy.linalg.expm(ts[:, None, None] * A)
 
 
-def _positive_eigensystem(M, tol: float, name: str):
-    """``(A, w, Q)``: M coerced, with the eigenvalues and eigenvectors of one
-    ``eigh``.  Raises :class:`NotPositiveDefinite`, naming ``name``, unless
-    M is Hermitian and its smallest eigenvalue exceeds ``tol`` times the
-    largest magnitude (or 1)."""
-    A = as_square_matrix(M, name)
-    if frobenius(A - A.conj().T) > tol * max(frobenius(A), 1.0):
-        raise NotPositiveDefinite(f"{name} is not Hermitian")
-    w, Q = np.linalg.eigh(A)
-    if w.min() <= tol * max(abs(w).max(), 1.0):
-        raise NotPositiveDefinite(f"{name} has non-positive eigenvalue {w.min():.3e}")
-    return A, w, Q
-
-
-def _sqrt_from_eigensystem(w: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """(Q sqrt(w)) Q^dagger, symmetrized: the Hermitian square root of the
-    positive matrix whose ``eigh`` gave ``w`` and ``Q``."""
-    root = (Q * np.sqrt(w)) @ Q.conj().T
-    return 0.5 * (root + root.conj().T)
-
-
-def hermitian_sqrt(P, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian positive-definite square root rho of P, rho^2 = P."""
-    _, w, Q = _positive_eigensystem(P, tol, "matrix")
-    return _sqrt_from_eigensystem(w, Q)
-
-
 @dataclass(frozen=True)
 class Metric:
     """Hermitian positive-definite matrix of a physical inner product,
@@ -173,10 +132,12 @@ class Metric:
     eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            eta, w, Q = _positive_eigensystem(self.eta, self.tol, "metric")
-        except NotPositiveDefinite as exc:
-            raise InvalidMetric(str(exc)) from exc
+        eta = as_square_matrix(self.eta, "metric")
+        if frobenius(eta - eta.conj().T) > self.tol * max(frobenius(eta), 1.0):
+            raise InvalidMetric("metric is not Hermitian")
+        w, Q = np.linalg.eigh(eta)
+        if w.min() <= self.tol * max(abs(w).max(), 1.0):
+            raise InvalidMetric(f"metric has non-positive eigenvalue {w.min():.3e}")
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "eigenvectors", Q)
@@ -186,20 +147,11 @@ class Metric:
         return self.eta.shape[0]
 
 
-def intertwines(Am: np.ndarray, eta: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff ||eta A - A^dagger eta|| <= tol * ||eta A||, for a square
-    complex array ``Am`` and an already validated metric matrix ``eta``."""
+def intertwining_residual(Am: np.ndarray, eta: np.ndarray) -> float:
+    """||eta A - A^dagger eta|| / ||eta A||, the relative residual of the
+    intertwining relation eta A = A^dagger eta, for a square complex array
+    ``Am`` and an already validated metric matrix ``eta``."""
     if Am.shape != eta.shape:
         raise DimensionMismatch("operator and metric dimensions differ")
     lhs = eta @ Am
-    resid = frobenius(lhs - Am.conj().T @ eta)
-    return resid <= tol * max(frobenius(lhs), np.finfo(float).tiny)
-
-
-def is_self_adjoint_wrt(A, eta, tol: float = DEFAULT_TOL) -> bool:
-    """True iff A is self-adjoint in the inner product <psi, phi> = psi^dagger eta phi.
-
-    Validates eta as a :class:`Metric`, then tests the intertwining relation
-    eta A = A^dagger eta with :func:`intertwines`.
-    """
-    return intertwines(as_square_matrix(A), Metric(eta, tol).eta, tol)
+    return frobenius(lhs - Am.conj().T @ eta) / max(frobenius(lhs), np.finfo(float).tiny)

@@ -1,4 +1,4 @@
-"""Charge-conjugation operator, CPT inner product, and metric operators.
+"""Charge-conjugation operator and the metric of the CPT inner product.
 
 The charge-conjugation operator is assembled from PT-normalized
 eigenvectors as C = sum_n phi_n phi_n^T (outer product without
@@ -30,7 +30,6 @@ from .linalg import (
     EigenSystem,
     Metric,
     as_square_matrix,
-    as_vector,
     eig,
 )
 
@@ -156,13 +155,6 @@ def cpt_system(H, P, tol: float = DEFAULT_TOL):
     Phi, _ = pt_normalize(eig(H, tol), P)
     C = build_C(Phi)
     return Phi, C, metric_from_CPT(C, P, tol)
-
-
-def cpt_inner_product(metric: Metric, psi, phi) -> complex:
-    """Positive-definite product (psi, phi)_+ = psi^dagger eta phi."""
-    u = as_vector(psi, metric.dim, "psi")
-    v = as_vector(phi, metric.dim, "phi")
-    return complex(u.conj() @ metric.eta @ v)
 
 
 def metric_from_biorthonormal(es: EigenSystem, tol: float = DEFAULT_TOL) -> Metric:

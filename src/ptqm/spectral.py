@@ -123,12 +123,6 @@ def _operator(nu: float, L: float, N: int):
     return A, h
 
 
-def discretize(p: SpectralProblem) -> np.ndarray:
-    """(N-2) x (N-2) dense complex symmetric matrix of the operator on the
-    contour."""
-    return _operator(p.nu, p.L, p.N)[0].toarray()
-
-
 def _solve_grid(nu: float, L: float, N: int, k: int):
     """Lowest levels of one boxed grid, box artifacts filtered out.
 
@@ -212,20 +206,3 @@ def converged_spectrum(p: SpectralProblem, k: int) -> SpectrumResult:
             f"refinement (L = {p.L}, N = {p.N})"
         )
     return res
-
-
-def verify_reality(p: SpectralProblem, k: int, tol: float = 1e-6) -> bool:
-    """True iff the lowest k levels are real, positive, and separated.
-
-    Raises :class:`NumericalFailure` when the levels did not converge
-    under grid refinement, since reality cannot be judged from them.
-    """
-    res = converged_spectrum(p, k)
-    re = res.eigenvalues.real
-    if res.max_imag >= tol:
-        return False
-    if re.min() <= 0.0:
-        return False
-    if len(re) > 1 and np.diff(re).min() <= tol:
-        return False
-    return True

@@ -45,9 +45,9 @@ PARITY = SIGMA_1
 class TwoLevelParams:
     """Model parameters (r, s, theta) in the unbroken region.
 
-    Requires s != 0 and |r sin(theta) / s| < 1; the boundary is the
-    exceptional point where the eigenvectors coalesce.  alpha is derived,
-    alpha = arcsin(r sin(theta) / s) in (-pi/2, pi/2).
+    Requires finite r, s, theta, s != 0 and |r sin(theta) / s| < 1; the
+    boundary is the exceptional point where the eigenvectors coalesce.
+    alpha is derived, alpha = arcsin(r sin(theta) / s) in (-pi/2, pi/2).
     """
 
     r: float
@@ -56,6 +56,8 @@ class TwoLevelParams:
     alpha: float = field(init=False)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.r, self.s, self.theta))):
+            raise InvalidParams("r, s and theta must be finite")
         if self.s == 0:
             raise InvalidParams("s must be nonzero")
         if self.s < 0:

@@ -9,9 +9,41 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from ptqm.linalg import eig, matrix_exponential  # noqa: E402
+from ptqm.linalg import (  # noqa: E402
+    DEFAULT_TOL,
+    Metric,
+    as_square_matrix,
+    eig,
+    intertwining_residual,
+    matrix_exponential,
+)
 from ptqm.metric import build_C, metric_from_CPT, pt_normalize  # noqa: E402
 from ptqm.two_level import TwoLevelParams  # noqa: E402
+
+
+# Reference definitions the tests compare the toolkit against.
+
+
+def pt_inner_product(P, psi, phi) -> complex:
+    """Indefinite PT product (psi, phi) = (P psi*)^T phi.
+
+    Antilinear in psi, linear in phi; indefinite (both signs occur).
+    """
+    u = np.asarray(psi, dtype=complex)
+    return complex((np.asarray(P) @ u.conj()) @ np.asarray(phi, dtype=complex))
+
+
+def cpt_inner_product(metric, psi, phi) -> complex:
+    """Positive-definite product (psi, phi)_+ = psi^dagger eta phi."""
+    u = np.asarray(psi, dtype=complex)
+    return complex(u.conj() @ metric.eta @ np.asarray(phi, dtype=complex))
+
+
+def is_self_adjoint_wrt(A, eta, tol=DEFAULT_TOL) -> bool:
+    """True iff A is self-adjoint in the inner product <psi, phi> =
+    psi^dagger eta phi: eta is validated as a Metric (InvalidMetric
+    otherwise), then eta A = A^dagger eta is tested to ``tol`` relative."""
+    return intertwining_residual(as_square_matrix(A), Metric(eta, tol).eta) <= tol
 
 
 def random_valid_params(rng, margin=0.95):

@@ -50,7 +50,7 @@ from ptqm.two_level import (
     heisenberg_S2_closed_form,
 )
 
-from conftest import random_valid_params
+from conftest import cpt_inner_product, random_valid_params
 from test_spectral import GALERKIN_E0_NU1, galerkin_levels
 
 REFERENCE = TwoLevelParams(1.0, 1.0, np.pi / 6)
@@ -202,7 +202,6 @@ def test_criterion_06_cpt_unitarity(capsys):
     p = REFERENCE
     H, _, _, eta = pipeline(p)
     from ptqm.linalg import matrix_exponential
-    from ptqm.metric import cpt_inner_product
 
     psi0 = np.array([1.0 + 0j, 0.0 + 0j])
     times = np.linspace(0.0, 4.0 * np.pi, 400)

@@ -8,8 +8,10 @@ from ptqm import equivalence, two_level
 from ptqm.cli import main
 from ptqm.equivalence import check_observable_bender, heisenberg_evolve
 from ptqm.errors import InvalidInput, NumericalFailure
-from ptqm.linalg import is_self_adjoint_wrt, matrix_exponential
-from ptqm.metric import cpt_inner_product, cpt_system
+from ptqm.linalg import matrix_exponential
+from ptqm.metric import cpt_system
+
+from conftest import cpt_inner_product, is_self_adjoint_wrt
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -21,6 +23,7 @@ SCHEMA = json.loads(
 
 MODEL = ["--r", "1.0", "--s", "1.0", "--theta", str(np.pi / 6)]
 OTHER = (-0.7, 1.3, 2.1)
+NON_FINITE_MODEL = (["--theta", "inf"], ["--r", "nan"], ["--s", "inf"])
 
 
 def run_cli(capsys, argv):
@@ -81,6 +84,9 @@ class TestTwoLevel:
             capsys, ["two-level", "--r", "2.0", "--s", "1.0", "--theta", "1.5707963"]
         )
         assert code == 2
+        # non-finite model arguments; the last of a repeated option wins
+        for tail in NON_FINITE_MODEL:
+            assert run_cli(capsys, ["two-level"] + MODEL + tail) == (2, ""), tail
 
 
 def test_bad_tolerance_exit_2(capsys):
@@ -123,6 +129,8 @@ class TestCheck:
     def test_too_few_steps_exit_2(self, capsys):
         code, _ = run_cli(capsys, ["check"] + MODEL + ["--steps", "1"])
         assert code == 2
+        for tail in NON_FINITE_MODEL:
+            assert run_cli(capsys, ["check"] + MODEL + ["--steps", "8"] + tail) == (2, ""), tail
 
     def test_long_run_matches_per_step_reference(self, capsys):
         # 2000 steps: the whole grid is evolved in one stack at n = 2
@@ -255,6 +263,7 @@ class TestEvolve:
             ["--t-max", "nan"],
             ["--t-max", "inf"],
             ["--t-max", "0"],
+            *(["--t-max", "1.0"] + model for model in NON_FINITE_MODEL),
         ):
             argv = ["evolve"] + MODEL + ["--steps", "2"] + tail
             assert run_cli(capsys, argv) == (2, ""), tail

@@ -15,7 +15,7 @@ from ptqm.errors import (
     NotHermitianInput,
     PseudoHermiticityViolated,
 )
-from ptqm.linalg import eig, is_self_adjoint_wrt, matrix_exponential
+from ptqm.linalg import eig, matrix_exponential
 from ptqm.metric import Metric
 from ptqm.two_level import (
     PARITY,
@@ -34,7 +34,7 @@ from ptqm.two_level import (
     heisenberg_S2_closed_form,
 )
 
-from conftest import pt_symmetric_system, random_valid_params
+from conftest import is_self_adjoint_wrt, pt_symmetric_system, random_valid_params
 
 REFERENCE = TwoLevelParams(1.0, 1.0, np.pi / 6)
 PAULI = [SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3]
@@ -76,8 +76,10 @@ class TestBuildEquivalence:
             )
 
     def test_incompatible_pair_rejected(self):
-        # identity metric does not make the PT model self-adjoint
-        with pytest.raises(PseudoHermiticityViolated):
+        # identity metric does not make the PT model self-adjoint; the
+        # refusal prints the relative residual it was judged by
+        message = r"^\|\|eta H - H\^dagger eta\|\| / \|\|eta H\|\| = \d\.\d{3}e-01 exceeds tolerance 1\.000e-10$"
+        with pytest.raises(PseudoHermiticityViolated, match=message):
             build_equivalence(build_H(REFERENCE), Metric(np.eye(2)))
 
 

@@ -1,23 +1,11 @@
 import numpy as np
 import pytest
 
-from ptqm.errors import (
-    DimensionMismatch,
-    InvalidMetric,
-    NonDiagonalizable,
-    NotPositiveDefinite,
-)
-from ptqm.linalg import (
-    STACK_ENTRIES,
-    eig,
-    hermitian_sqrt,
-    is_self_adjoint_wrt,
-    matrix_exponential,
-    time_chunks,
-)
+from ptqm.errors import DimensionMismatch, InvalidMetric, NonDiagonalizable
+from ptqm.linalg import STACK_ENTRIES, eig, matrix_exponential, time_chunks
 from ptqm.two_level import SIGMA_1, SIGMA_3, TwoLevelParams, build_H
 
-from conftest import random_valid_params
+from conftest import is_self_adjoint_wrt, random_valid_params
 
 
 class TestEig:
@@ -122,39 +110,6 @@ class TestTimeChunks:
     def test_partial_last_chunk(self):
         chunks = list(time_chunks(np.arange(37.0), 64))
         assert [len(c) for c in chunks] == [16, 16, 5]
-
-
-class TestHermitianSqrt:
-    def test_identity(self):
-        np.testing.assert_allclose(hermitian_sqrt(np.eye(3)), np.eye(3))
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            hermitian_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-13
-        )
-
-    def test_two_level_metric_root(self):
-        from ptqm.two_level import eta_closed_form
-
-        rho = hermitian_sqrt(eta_closed_form(TwoLevelParams(1.0, 1.0, np.pi / 6)))
-        w = np.sort(np.linalg.eigvalsh(rho))
-        np.testing.assert_allclose(w, [3.0 ** (-0.25), 3.0 ** 0.25], atol=1e-12)
-
-    def test_root_properties(self, rng):
-        for _ in range(10):
-            A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            P = A @ A.conj().T + 0.5 * np.eye(4)
-            rho = hermitian_sqrt(P)
-            np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12 * np.linalg.norm(rho))
-            np.testing.assert_allclose(rho @ rho, P, atol=1e-12 * np.linalg.norm(P))
-
-    def test_indefinite_rejected(self):
-        with pytest.raises(NotPositiveDefinite):
-            hermitian_sqrt(np.diag([1.0, -1.0]))
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(NotPositiveDefinite):
-            hermitian_sqrt(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 class TestSelfAdjointWrt:

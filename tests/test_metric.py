@@ -12,17 +12,15 @@ from ptqm.errors import (
     NotPTSymmetric,
     SelfOrthogonalEigenvector,
 )
-from ptqm.linalg import EigenSystem, eig, is_self_adjoint_wrt
+from ptqm.linalg import EigenSystem, eig
 from ptqm.metric import (
     Metric,
     build_C,
-    cpt_inner_product,
     cpt_system,
     metric_from_CPT,
     metric_from_biorthonormal,
     pt_normalize,
 )
-from ptqm.pt import pt_inner_product
 from ptqm.two_level import (
     PARITY,
     SIGMA_1,
@@ -33,7 +31,13 @@ from ptqm.two_level import (
     eta_closed_form,
 )
 
-from conftest import pt_symmetric_system, random_valid_params
+from conftest import (
+    cpt_inner_product,
+    is_self_adjoint_wrt,
+    pt_inner_product,
+    pt_symmetric_system,
+    random_valid_params,
+)
 
 REFERENCE = TwoLevelParams(1.0, 1.0, np.pi / 6)
 FLIP4 = np.eye(4)[::-1]
@@ -311,6 +315,20 @@ class TestMetricFromBiorthonormal:
         H = np.array([[2.0, 0.5], [0.5, -1.0]])
         metric = metric_from_biorthonormal(eig(H))
         np.testing.assert_allclose(metric.eta, np.eye(2), atol=1e-12)
+
+    def test_equals_cpt_metric(self, rng):
+        # a C-free cross-check of P^T C^T: eta_b from the left vectors of
+        # the PT-normalized Phi (eig's own vectors are scaled differently)
+        systems = [(build_H(REFERENCE), PARITY)]
+        systems += [pt_symmetric_system(n, rng)[:2] for n in (8, 64)]
+        for H, P in systems:
+            es = eig(H)
+            Phi, _ = pt_normalize(es, P)
+            eta_b = metric_from_biorthonormal(
+                EigenSystem(es.eigenvalues, Phi, np.linalg.inv(Phi).conj().T)
+            ).eta
+            eta = metric_from_CPT(build_C(Phi), P).eta
+            assert np.linalg.norm(eta_b - eta) <= 1e-12 * np.linalg.norm(eta), len(H)
 
     def test_complex_spectrum_rejected(self):
         H = np.array([[2j, 1.0], [1.0, -2j]])  # broken region

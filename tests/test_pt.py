@@ -3,10 +3,9 @@ import pytest
 
 from ptqm.linalg import EigenSystem, eig
 from ptqm.metric import pt_normalize
-from ptqm.pt import pt_inner_product
 from ptqm.two_level import SIGMA_1, TwoLevelParams, build_H
 
-from conftest import random_valid_params
+from conftest import pt_inner_product, random_valid_params
 
 
 class TestPTInnerProduct:

@@ -4,13 +4,7 @@ import scipy.linalg
 
 from ptqm import spectral
 from ptqm.errors import InvalidParams, NumericalFailure, OutOfRegime
-from ptqm.spectral import (
-    SpectralProblem,
-    discretize,
-    potential,
-    spectrum,
-    verify_reality,
-)
+from ptqm.spectral import SpectralProblem, converged_spectrum, potential, spectrum
 
 # Ground-state energy for nu = 1 from an independent sine-basis Galerkin
 # computation (250 modes on [-12, 12], trapezoid quadrature), converged to
@@ -111,14 +105,13 @@ class TestPotential:
 
 class TestDiscretize:
     def test_shape_and_symmetry(self):
-        p = SpectralProblem(1.0, L=5.0, N=50)
-        M = discretize(p)
+        M = spectral._operator(1.0, 5.0, 50)[0].toarray()
         assert M.shape == (48, 48)
         np.testing.assert_allclose(M, M.T)
         assert not np.allclose(M, M.conj().T)
 
     def test_harmonic_case_hermitian(self):
-        M = discretize(SpectralProblem(0.0, L=5.0, N=50))
+        M = spectral._operator(0.0, 5.0, 50)[0].toarray()
         np.testing.assert_allclose(M, M.conj().T)
 
 
@@ -145,8 +138,12 @@ class TestSpectrum:
         )
 
     def test_reality_holds_in_regime(self):
+        # real, positive and separated, from levels converged under refinement
         for nu in (0.5, 1.0):
-            assert verify_reality(SpectralProblem(nu, L=12.0, N=1200), 4)
+            res = converged_spectrum(SpectralProblem(nu, L=12.0, N=1200), 4)
+            assert res.max_imag < 1e-6
+            assert res.eigenvalues.real.min() > 0.0
+            assert np.diff(res.eigenvalues.real).min() > 1e-6
 
     def test_reality_refused_when_unconverged(self):
         # too coarse to converge, although the levels look real
@@ -154,7 +151,7 @@ class TestSpectrum:
         res = spectrum(p, 3)
         assert not res.converged and res.max_imag < 1e-6
         with pytest.raises(NumericalFailure, match="did not converge"):
-            verify_reality(p, 3)
+            converged_spectrum(p, 3)
 
     def test_each_grid_solved_once(self, monkeypatch):
         sizes = []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ptqm.errors import InvalidParams
-from ptqm.linalg import eig, is_self_adjoint_wrt
+from ptqm.linalg import eig
 from ptqm.two_level import (
     PARITY,
     SIGMA_0,
@@ -21,7 +21,7 @@ from ptqm.two_level import (
     h_closed_form,
 )
 
-from conftest import random_valid_params
+from conftest import is_self_adjoint_wrt, random_valid_params
 
 REFERENCE = TwoLevelParams(1.0, 1.0, np.pi / 6)
 
@@ -45,6 +45,12 @@ class TestParams:
     def test_broken_region_rejected(self):
         with pytest.raises(InvalidParams):
             TwoLevelParams(2.0, 1.0, np.pi / 2)
+
+    def test_non_finite_rejected(self):
+        # nan slips past |r sin(theta)/s| >= 1 and gives alpha = nan
+        for args in ((np.nan, 1.0, 0.0), (1.0, np.inf, 0.0), (1.0, 1.0, np.inf)):
+            with pytest.raises(InvalidParams, match="^r, s and theta must be finite$"):
+                TwoLevelParams(*args)
 
 
 class TestClosedForms:
