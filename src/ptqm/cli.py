@@ -26,7 +26,7 @@ import numpy as np
 
 from . import equivalence, metric, spectral, two_level
 from .errors import InvalidInput, NumericalFailure
-from .linalg import DEFAULT_TOL, frobenius, matrix_exponential, time_chunks
+from .linalg import DEFAULT_TOL, matrix_exponential, time_chunks
 
 
 def _cnum(z: complex) -> dict:
@@ -70,7 +70,7 @@ def _two_level_doc(args) -> str:
     p, H, C, eta = _model(args)
     pair = equivalence.build_equivalence(H, eta, args.tolerance)
     Up = two_level.U_printed(p)
-    residual = frobenius(Up.conj().T @ Up - eta.eta)
+    residual = np.linalg.norm(Up.conj().T @ Up - eta.eta)
     ep, em = two_level.eigenvalues_closed_form(p)
     doc = {
         "command": "two-level",
@@ -98,7 +98,7 @@ def _check_doc(args) -> str:
     if args.steps < 2:
         raise InvalidInput("steps must be at least 2")
     p, H, C, eta = _model(args)
-    period = math.pi / (p.s * math.cos(p.alpha))
+    period = 2.0 * two_level.bender_return_period(p)
     rows = equivalence.consistency_demo(
         H, C, two_level.PARITY, eta, two_level.S_mu(p, 2),
         np.linspace(0.0, period, args.steps), args.tolerance,

@@ -166,8 +166,7 @@ def metric_from_biorthonormal(es: EigenSystem, tol: float = DEFAULT_TOL) -> Metr
     near-singular eigenvector matrix) raises :class:`MetricNotPositive`.
     """
     w = es.eigenvalues
-    scale = max(np.abs(w).max(), 1.0)
-    if np.abs(w.imag).max() > tol * scale:
+    if not np.abs(w.imag).max() <= tol * np.abs(w).max():
         raise ComplexSpectrum(
             f"largest |Im eigenvalue| = {np.abs(w.imag).max():.3e}; "
             "a real spectrum is required"

@@ -146,15 +146,9 @@ def _solve_grid(nu: float, L: float, N: int, k: int):
     order = np.argsort(w.real)
     w, v = w[order], v[:, order]
     edge = max(1, int(_EDGE_FRACTION * n))
-    keep = []
-    for i in range(len(w)):
-        vec = v[:, i]
-        leak = (
-            np.linalg.norm(vec[:edge]) ** 2 + np.linalg.norm(vec[-edge:]) ** 2
-        ) / np.linalg.norm(vec) ** 2
-        if leak < _LEAK_FRACTION:
-            keep.append(i)
-    return w[keep][:k], h
+    weight = abs(v) ** 2
+    leak = (weight[:edge].sum(axis=0) + weight[-edge:].sum(axis=0)) / weight.sum(axis=0)
+    return w[leak < _LEAK_FRACTION][:k], h
 
 
 def spectrum(p: SpectralProblem, k: int) -> SpectrumResult:

@@ -9,14 +9,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from ptqm.linalg import (  # noqa: E402
-    DEFAULT_TOL,
-    Metric,
-    as_square_matrix,
-    eig,
-    intertwining_residual,
-    matrix_exponential,
-)
+from ptqm.errors import InvalidMetric  # noqa: E402
+from ptqm.linalg import DEFAULT_TOL, eig, matrix_exponential  # noqa: E402
 from ptqm.metric import build_C, metric_from_CPT, pt_normalize  # noqa: E402
 from ptqm.two_level import TwoLevelParams  # noqa: E402
 
@@ -41,9 +35,16 @@ def cpt_inner_product(metric, psi, phi) -> complex:
 
 def is_self_adjoint_wrt(A, eta, tol=DEFAULT_TOL) -> bool:
     """True iff A is self-adjoint in the inner product <psi, phi> =
-    psi^dagger eta phi: eta is validated as a Metric (InvalidMetric
-    otherwise), then eta A = A^dagger eta is tested to ``tol`` relative."""
-    return intertwining_residual(as_square_matrix(A), Metric(eta, tol).eta) <= tol
+    psi^dagger eta phi, in plain numpy: eta must be Hermitian and positive
+    definite to ``tol`` relative (InvalidMetric otherwise), and
+    ||eta A - A^dagger eta|| / ||eta A|| <= tol in the Frobenius norm."""
+    A, eta = np.asarray(A, dtype=complex), np.asarray(eta, dtype=complex)
+    w = np.linalg.eigvalsh(eta)
+    if not (np.linalg.norm(eta - eta.conj().T) <= tol * np.linalg.norm(eta)
+            and w.min() > tol * np.abs(w).max()):
+        raise InvalidMetric("metric is not Hermitian positive definite")
+    lhs = eta @ A
+    return bool(np.linalg.norm(lhs - A.conj().T @ eta) / np.linalg.norm(lhs) <= tol)
 
 
 def random_valid_params(rng, margin=0.95):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -71,6 +72,18 @@ class TestTwoLevel:
         code, _ = run_cli(capsys, ["two-level"] + MODEL)
         assert code == 0
         assert calls == ["eigh"] * 2
+
+    def test_overflowing_norms_judged_without_warning(self, capsys):
+        # the Frobenius norms of H overflow at r = s = 1e200; the residual
+        # tests rescale them, so nothing reaches stderr and stdout is the
+        # one the unscaled tests printed (with a RuntimeWarning) before
+        code = main(["two-level", "--r", "1e200", "--s", "1e200", "--theta", "0.5"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        jsonschema.validate(json.loads(captured.out), SCHEMA)
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+            "0aa934cea684880fd92b41353aaada73b5c65abfce56b617d50319683cd03fab"
+        )
 
     def test_byte_determinism(self, capsys):
         _, out1 = run_cli(capsys, ["two-level"] + MODEL)

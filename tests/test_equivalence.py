@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ptqm.equivalence import (
+    BenderCheck,
     build_equivalence,
     build_equivalence_pt,
     check_observable_bender,
@@ -137,6 +138,17 @@ class TestPullBack:
         with pytest.raises(NotHermitianInput):
             pull_back_observable(pair, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+    def test_scale_free(self, c):
+        H, _, metric = reference_setup(REFERENCE)
+        pair = build_equivalence(H, metric)
+        with pytest.raises(NotHermitianInput):
+            pull_back_observable(pair, c * np.array([[0.0, 1.0], [0.0, 0.0]]))
+        np.testing.assert_allclose(
+            pull_back_observable(pair, c * SIGMA_3),
+            c * pull_back_observable(pair, SIGMA_3), rtol=1e-14,
+        )
+
 
 class TestHeisenberg:
     def test_t_zero_identity(self):
@@ -208,6 +220,15 @@ class TestBenderCheck:
     def test_sigma2_fails(self):
         _, C, _ = reference_setup(REFERENCE)
         assert not check_observable_bender(SIGMA_2, C, PARITY).passed
+
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+    def test_scale_free(self, c):
+        # with C = P = I: X is real but not symmetric, i I symmetric but not real
+        I = np.eye(2)
+        X = np.array([[0.0, 1.0], [0.0, 0.0]])
+        assert check_observable_bender(c * X, I, I) == BenderCheck(False, True)
+        assert check_observable_bender(c * 1j * I, I, I) == BenderCheck(True, False)
+        assert check_observable_bender(c * SIGMA_1, I, I) == BenderCheck(True, True)
 
 
 class TestConsistencyDemo:

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from ptqm.errors import DimensionMismatch, InvalidMetric, NonDiagonalizable
-from ptqm.linalg import STACK_ENTRIES, eig, matrix_exponential, time_chunks
+from ptqm.linalg import (
+    STACK_ENTRIES,
+    Metric,
+    eig,
+    matrix_exponential,
+    relative_gap,
+    time_chunks,
+)
 from ptqm.two_level import SIGMA_1, SIGMA_3, TwoLevelParams, build_H
 
 from conftest import is_self_adjoint_wrt, random_valid_params
@@ -96,6 +103,69 @@ class TestMatrixExponential:
     def test_times_must_be_one_dimensional(self):
         with pytest.raises(DimensionMismatch):
             matrix_exponential(np.eye(2), np.zeros((2, 2)))
+
+
+class TestRelativeGap:
+    def pairs(self, rng, n, T=12):
+        X = rng.normal(size=(T, n, n)) + 1j * rng.normal(size=(T, n, n))
+        Y = X + 1e-9 * rng.normal(size=(T, n, n))
+        X[1], Y[1] = 2.0**600 * X[1], 2.0**600 * Y[1]  # norms overflow
+        X[2], Y[2] = 2.0**-600 * X[2], 2.0**-600 * Y[2]  # norms underflow to 0
+        X[3], Y[3] = 0.0, 0.0
+        X[4, 0, 0] = np.nan
+        return X, Y
+
+    def test_stack_slices_equal_single_calls_bit_for_bit(self, rng):
+        for n in (2, 5, 16):
+            X, Y = self.pairs(rng, n)
+            gaps = relative_gap(X, Y)
+            assert gaps.shape == (len(X),)
+            single = np.array([relative_gap(x, y) for x, y in zip(X, Y)])
+            assert gaps.tobytes() == single.tobytes()
+
+    def test_power_of_two_scaling_is_exact(self, rng):
+        X, Y = self.pairs(rng, 3)
+        for x, y in zip(X[5:], Y[5:]):
+            gap = relative_gap(x, y)
+            assert gap == np.linalg.norm(x - y) / np.linalg.norm(x)
+            assert 0 < gap < 1e-8
+            for c in (2.0**-600, 2.0**600):
+                assert relative_gap(c * x, c * y) == gap
+
+    def test_nan_fails_the_test(self, rng):
+        X, Y = self.pairs(rng, 2)
+        assert not relative_gap(X[4], Y[4]) <= 1e-6
+        assert not relative_gap(Y[4], X[4]) <= 1e-6
+        assert (relative_gap(X, Y) <= 1e-6).tolist() == [i != 4 for i in range(len(X))]
+
+    def test_zero_reference(self):
+        zero, one = np.zeros((2, 2), dtype=complex), np.eye(2, dtype=complex)
+        assert relative_gap(zero, zero) == 0.0
+        assert relative_gap(zero, one) == np.inf
+        assert relative_gap(one, zero) == 1.0
+        assert relative_gap(np.stack([zero, zero]), np.stack([zero, one])).tolist() == [
+            0.0, np.inf]
+
+
+class TestMetricScale:
+    """Metric validation answers the same for eta and c eta at any scale."""
+
+    ETA = np.array([[2.0, -0.5j], [0.5j, 1.0]])
+
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+    def test_valid_metric_accepted(self, c):
+        m = Metric(c * self.ETA)
+        np.testing.assert_allclose(m.eigenvalues, c * np.linalg.eigvalsh(self.ETA), rtol=1e-14)
+
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+    def test_non_hermitian_rejected(self, c):
+        with pytest.raises(InvalidMetric, match="not Hermitian"):
+            Metric(c * (self.ETA + np.array([[0.0, 1e-6], [0.0, 0.0]])))
+
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+    def test_nearly_singular_rejected(self, c):
+        with pytest.raises(InvalidMetric, match="non-positive eigenvalue"):
+            Metric(c * np.diag([1.0, 1e-11]))
 
 
 class TestTimeChunks:
