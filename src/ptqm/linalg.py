@@ -3,9 +3,9 @@ left/right pairs, matrix exponential, the validated metric record, and
 the one residual rule.
 
 All routines are pure functions on square complex ``numpy`` arrays.  Every
-residual test reads ``relative_gap(X, Y) <= tol`` (``DEFAULT_TOL`` by
-default): relative in the Frobenius norm with no floor, so it does not
-depend on the scale of X, and a NaN fails it.
+residual test at a caller's ``tol`` (``DEFAULT_TOL`` by default) reads
+``relative_gap(X, Y) <= tol``: relative in the Frobenius norm with no
+floor, so it does not depend on the scale of X, and a NaN fails it.
 
 Importing this module loads numpy only: the first call of
 :func:`matrix_exponential` imports ``scipy.linalg``, once per process.

@@ -350,6 +350,27 @@ class TestMetricValidation:
         assert m.dim == 2
 
 
+class TestMetricScale:
+    """Metric validation answers the same for eta and c eta at any scale."""
+
+    ETA = np.array([[2.0, -0.5j], [0.5j, 1.0]])
+
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+    def test_valid_metric_accepted(self, c):
+        m = Metric(c * self.ETA)
+        np.testing.assert_allclose(m.eigenvalues, c * np.linalg.eigvalsh(self.ETA), rtol=1e-14)
+
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+    def test_non_hermitian_rejected(self, c):
+        with pytest.raises(InvalidMetric, match="not Hermitian"):
+            Metric(c * (self.ETA + np.array([[0.0, 1e-6], [0.0, 0.0]])))
+
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+    def test_nearly_singular_rejected(self, c):
+        with pytest.raises(InvalidMetric, match="non-positive eigenvalue"):
+            Metric(c * np.diag([1.0, 1e-11]))
+
+
 class TestCallerTolerance:
     """Positivity is decided once, at the tolerance of the building call."""
 
