@@ -33,7 +33,7 @@ from .metric import (
     metric_from_biorthonormal,
     pt_normalize,
 )
-from .spectral import SpectralProblem, SpectrumResult, potential, spectrum
+from .spectral import SpectralProblem, SpectrumResult, spectrum
 from .two_level import (
     PARITY,
     S_mu,

@@ -9,7 +9,7 @@ CSV uses 15-significant-digit ``%.15g`` fields, LF line endings, UTF-8.
 Complex numbers serialize as {"re": ..., "im": ...} objects.
 
 Exit codes: 0 success, 2 invalid input (malformed or non-finite arguments
-included), 3 numerical failure.
+and an unwritable ``--output`` included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -224,7 +224,12 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    _write_output(text, args.output)
+    try:
+        _write_output(text, args.output)
+    except OSError as exc:
+        target = args.output or "standard output"
+        print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return 0
 
 

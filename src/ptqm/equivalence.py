@@ -22,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidInput,
-    NotHermitianInput,
-    PseudoHermiticityViolated,
-)
+from .errors import InvalidInput, NotHermitianInput, PseudoHermiticityViolated
 from .linalg import (
     DEFAULT_TOL,
     as_square_matrix,
@@ -56,9 +51,7 @@ def build_equivalence(H, metric: Metric, tol: float = DEFAULT_TOL) -> Equivalenc
     eigensystem ``metric`` was validated with, at its own tolerance;
     ``tol`` bounds the relative pseudo-Hermiticity residual of H.
     """
-    Hm = as_square_matrix(H, "Hamiltonian")
-    if Hm.shape != metric.eta.shape:
-        raise DimensionMismatch("operator and metric dimensions differ")
+    Hm = as_square_matrix(H, "Hamiltonian", metric.dim)
     resid = relative_gap(metric.eta @ Hm, Hm.conj().T @ metric.eta)
     if not resid <= tol:
         raise PseudoHermiticityViolated(
@@ -97,11 +90,9 @@ def build_equivalence_pt(H, P, tol: float = DEFAULT_TOL) -> EquivalencePair:
 
 def pull_back_observable(pair: EquivalencePair, o, tol: float = DEFAULT_TOL) -> np.ndarray:
     """O = U^{-1} o U for Euclidean-Hermitian o; O is eta-self-adjoint."""
-    om = as_square_matrix(o, "observable")
+    om = as_square_matrix(o, "observable", len(pair.U))
     if not relative_gap(om, om.conj().T) <= tol:
         raise NotHermitianInput("observable is not Hermitian in the Euclidean sense")
-    if om.shape != pair.U.shape:
-        raise DimensionMismatch("observable and equivalence map dimensions differ")
     return np.linalg.inv(pair.U) @ om @ pair.U
 
 
@@ -112,9 +103,7 @@ def heisenberg_evolve(H, O, t) -> np.ndarray:
     O_H(t) over t from two batched exponentials.
     """
     Hm = as_square_matrix(H, "Hamiltonian")
-    Om = as_square_matrix(O, "observable")
-    if Hm.shape != Om.shape:
-        raise DimensionMismatch("Hamiltonian and observable dimensions differ")
+    Om = as_square_matrix(O, "observable", len(Hm))
     ts = np.asarray(t)
     stack = np.atleast_1d(ts)
     out = matrix_exponential(Hm, 1j * stack) @ Om @ matrix_exponential(Hm, -1j * stack)
@@ -141,11 +130,7 @@ def _bender_stack(Os: np.ndarray, CP: np.ndarray, tol: float):
 
 
 def _coerce_CP(C, P, n: int) -> np.ndarray:
-    Cm = as_square_matrix(C, "charge conjugation")
-    Pm = as_square_matrix(P, "parity")
-    if Cm.shape != (n, n) or Pm.shape != (n, n):
-        raise DimensionMismatch("operator dimensions differ")
-    return Cm @ Pm
+    return as_square_matrix(C, "charge conjugation", n) @ as_square_matrix(P, "parity", n)
 
 
 def check_observable_bender(O, C, P, tol: float = DEFAULT_TOL) -> BenderCheck:
@@ -163,9 +148,7 @@ def check_observable_bender(O, C, P, tol: float = DEFAULT_TOL) -> BenderCheck:
 def check_observable_hermitian(O, metric: Metric, tol: float = DEFAULT_TOL) -> bool:
     """Observable criterion of this toolkit: self-adjointness w.r.t. eta,
     tested as eta O = O^dagger eta; ``metric`` was validated when built."""
-    Om = as_square_matrix(O, "observable")
-    if Om.shape != metric.eta.shape:
-        raise DimensionMismatch("operator and metric dimensions differ")
+    Om = as_square_matrix(O, "observable", metric.dim)
     return bool(relative_gap(metric.eta @ Om, Om.conj().T @ metric.eta) <= tol)
 
 
@@ -189,16 +172,16 @@ def consistency_demo(H, C, P, metric: Metric, O, times, tol: float = DEFAULT_TOL
     symmetric/CPT-invariant check runs on each whole stack, with C P formed
     once; eta-Hermiticity is checked one time at a time.
     """
-    check0 = check_observable_bender(O, C, P, tol)
-    if not check0.passed:
-        raise InvalidInput(
-            "input observable must be symmetric and CPT-invariant at t = 0"
-        )
+    if not check_observable_bender(O, C, P, tol).passed:
+        raise InvalidInput("input observable must be symmetric and CPT-invariant at t = 0")
     CP = _coerce_CP(C, P, np.shape(O)[0])
+    # sized here, so that a refusal names the operand of the wrong size
+    Hm = as_square_matrix(H, "Hamiltonian", len(CP))
+    as_square_matrix(metric.eta, "metric", len(CP))
     rows = []
     ts = np.asarray(times, dtype=float)
     for chunk in time_chunks(ts, len(CP)):
-        Os = heisenberg_evolve(H, O, chunk)
+        Os = heisenberg_evolve(Hm, O, chunk)
         symmetric, cpt_invariant = _bender_stack(Os, CP, tol)
         for t, Ot, sym, cpt in zip(
             chunk.tolist(), Os, symmetric.tolist(), cpt_invariant.tolist()

@@ -36,7 +36,7 @@ class NotHermitianInput(InvalidInput):
 
 
 class OutOfRegime(InvalidInput):
-    """Anharmonicity exponent outside [0, 2), the regime of the contour eigenproblem."""
+    """Anharmonicity exponent outside [0, 2), where the contour solver is validated."""
 
 
 class NonDiagonalizable(NumericalFailure):

@@ -18,18 +18,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidMetric, NonDiagonalizable
+from .errors import DimensionMismatch, InvalidInput, InvalidMetric, NonDiagonalizable
 
 DEFAULT_TOL = 1e-10
 
 
-def as_square_matrix(M, name: str = "matrix") -> np.ndarray:
-    """Coerce to a square complex array, rejecting non-finite entries."""
+def as_square_matrix(M, name: str = "matrix", dim: int | None = None) -> np.ndarray:
+    """Coerce the operand ``name`` to a square complex array, ``dim`` x
+    ``dim`` when ``dim`` is given.  A wrong shape raises
+    :class:`DimensionMismatch` naming the size expected and the shape got;
+    a non-finite entry raises :class:`InvalidInput`."""
     A = np.asarray(M, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got shape {A.shape}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or (dim is not None and A.shape[0] != dim):
+        size = "square" if dim is None else f"{dim} x {dim}"
+        raise DimensionMismatch(f"{name} must be {size}, got shape {A.shape}")
     if not np.isfinite(A).all():
-        raise DimensionMismatch(f"{name} contains non-finite entries")
+        raise InvalidInput(f"{name} contains non-finite entries")
     return A
 
 

@@ -56,10 +56,8 @@ def pt_normalize(es: EigenSystem, P):
     PT-normalized phi_n, in the layout of ``es.right_vectors``, and their
     signs in {+1, -1}.
     """
-    Pm = as_square_matrix(P, "parity")
     V = np.array(es.right_vectors, dtype=complex)
-    if Pm.shape[0] != V.shape[0]:
-        raise DimensionMismatch("parity and eigenvector dimensions differ")
+    Pm = as_square_matrix(P, "parity", len(V))
     finite = np.isfinite(V).all(axis=0)
     # zeroed before any product, a non-finite column counts as self-orthogonal
     V[:, ~finite] = 0.0
@@ -138,9 +136,7 @@ def metric_from_CPT(C, P, tol: float = DEFAULT_TOL) -> Metric:
     sign-convention error upstream.
     """
     Cm = as_square_matrix(C, "charge conjugation")
-    Pm = as_square_matrix(P, "parity")
-    if Cm.shape != Pm.shape:
-        raise DimensionMismatch("C and P dimensions differ")
+    Pm = as_square_matrix(P, "parity", len(Cm))
     return _constructed_metric(Pm.T @ Cm.T, tol, "CPT")
 
 

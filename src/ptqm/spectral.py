@@ -66,8 +66,7 @@ class SpectralProblem:
     def __post_init__(self):
         if not 0.0 <= self.nu < 2.0:
             raise OutOfRegime(
-                f"nu = {self.nu} outside [0, 2); for nu >= 2 the eigenproblem "
-                "requires boundary conditions on a complex contour"
+                f"nu = {self.nu} outside [0, 2), where the contour solver is validated"
             )
         if self.N < 3:
             raise InvalidParams("grid size N must be at least 3")
@@ -87,18 +86,9 @@ class SpectrumResult:
         return not self.unconverged
 
 
-def potential(x, nu: float):
-    """x^2 (i x)^nu on the principal branch, vectorized over real or
-    complex x."""
-    if not 0.0 <= nu < 2.0:
-        raise OutOfRegime(f"nu = {nu} outside [0, 2)")
-    out = _potential(np.asarray(x, dtype=complex), nu)
-    return out if out.ndim else complex(out)
-
-
 def _potential(x: np.ndarray, nu: float) -> np.ndarray:
-    """The formula of :func:`potential` without its regime check, which the
-    grid solver also evaluates at nu = 2."""
+    """x^2 (i x)^nu on the principal branch, vectorized over real or
+    complex x; the regime of nu is checked by :class:`SpectralProblem`."""
     return x * x * (1j * x) ** nu
 
 

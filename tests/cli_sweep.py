@@ -11,7 +11,8 @@ before and after it, under one and under two BLAS threads:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/cli_sweep.py
     OPENBLAS_NUM_THREADS=2 PYTHONPATH=src python tests/cli_sweep.py
 
-The file name does not start with ``test_``, so pytest does not collect it.
+The file name does not start with ``test_``, so pytest does not collect it;
+``test_cli_sweep.py`` runs :func:`sweep` in tier-1 and pins its result.
 """
 
 import hashlib

@@ -26,7 +26,6 @@ UNCALLED = {
     "metric_from_biorthonormal": "C-free cross-check of the CPT metric; ACCEPTANCE 09 runs it",
     "eta_closed_form": "closed-form CPT metric of the 2x2 model, the oracle of the tests",
     "bender_family": "closed form of every observable the symmetric/CPT criterion admits",
-    "potential": "regime-checked form of the formula the grid solver evaluates",
 }
 
 

@@ -276,6 +276,7 @@ class TestEvolve:
             ["--t-max", "nan"],
             ["--t-max", "inf"],
             ["--t-max", "0"],
+            ["--t-max", "1.0", "--steps", "1"],
             *(["--t-max", "1.0"] + model for model in NON_FINITE_MODEL),
         ):
             argv = ["evolve"] + MODEL + ["--steps", "2"] + tail
@@ -351,3 +352,18 @@ class TestOutputFile:
         doc = json.loads(target.read_text())
         jsonschema.validate(doc, SCHEMA)
         assert not list(tmp_path.glob(".ptqm-*"))
+
+    @pytest.mark.parametrize("missing", [False, True])
+    def test_unwritable_path_exit_2(self, capsys, tmp_path, missing):
+        # a missing directory fails in mkstemp; an existing directory as the
+        # target fails in os.replace, after the temporary file is written
+        # next to it, in tmp_path, and must be removed
+        target = tmp_path / "missing" / "out.json" if missing else tmp_path / "dir"
+        if not missing:
+            target.mkdir()
+        reason = "No such file or directory" if missing else "Is a directory"
+        code = main(["two-level"] + MODEL + ["--output", str(target)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: cannot write {target}: {reason}\n"
+        assert not list(tmp_path.glob("**/.ptqm-*"))

@@ -12,12 +12,13 @@ from ptqm.equivalence import (
     pull_back_observable,
 )
 from ptqm.errors import (
+    DimensionMismatch,
     InvalidInput,
     NotHermitianInput,
     PseudoHermiticityViolated,
 )
 from ptqm.linalg import eig, matrix_exponential
-from ptqm.metric import Metric
+from ptqm.metric import Metric, metric_from_CPT, pt_normalize
 from ptqm.two_level import (
     PARITY,
     SIGMA_0,
@@ -280,3 +281,42 @@ def test_two_gauges_differ_by_diagonal_phase(rng):
         np.testing.assert_allclose(D @ D.conj().T, np.eye(2), atol=1e-9)
         off = D - np.diag(np.diag(D))
         assert np.abs(off).max() < 1e-9
+
+
+#: Each public entry that pairs two operands, with a 3 x 3 operand W
+#: against the 2x2 reference system, and the operand it must name.
+WRONG_SIZE = {
+    "pt_normalize": ("parity", lambda H, C, m, O, W: pt_normalize(eig(H), W)),
+    "metric_from_CPT": ("parity", lambda H, C, m, O, W: metric_from_CPT(C, W)),
+    "build_equivalence": ("Hamiltonian", lambda H, C, m, O, W: build_equivalence(W, m)),
+    "pull_back_observable": (
+        "observable", lambda H, C, m, O, W: pull_back_observable(build_equivalence(H, m), W)
+    ),
+    "heisenberg_evolve": ("observable", lambda H, C, m, O, W: heisenberg_evolve(H, W, 0.5)),
+    "check_observable_bender C": (
+        "charge conjugation", lambda H, C, m, O, W: check_observable_bender(O, W, PARITY)
+    ),
+    "check_observable_bender P": (
+        "parity", lambda H, C, m, O, W: check_observable_bender(O, C, W)
+    ),
+    "check_observable_hermitian": (
+        "observable", lambda H, C, m, O, W: check_observable_hermitian(W, m)
+    ),
+    "consistency_demo P": (
+        "parity", lambda H, C, m, O, W: consistency_demo(H, C, W, m, O, [0.0, 1.0])
+    ),
+    "consistency_demo H": (
+        "Hamiltonian", lambda H, C, m, O, W: consistency_demo(W, C, PARITY, m, O, [0.0, 1.0])
+    ),
+    "consistency_demo metric": (
+        "metric", lambda H, C, m, O, W: consistency_demo(H, C, PARITY, Metric(W), O, [0.0, 1.0])
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(WRONG_SIZE))
+def test_operand_of_wrong_size_rejected(entry):
+    name, call = WRONG_SIZE[entry]
+    H, C, metric = reference_setup(REFERENCE)
+    with pytest.raises(DimensionMismatch, match=rf"^{name} must be 2 x 2, got shape \(3, 3\)$"):
+        call(H, C, metric, S_mu(REFERENCE, 2), np.eye(3))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ptqm.errors import DimensionMismatch, InvalidMetric, NonDiagonalizable
+from ptqm.errors import DimensionMismatch, InvalidInput, InvalidMetric, NonDiagonalizable
 from ptqm.linalg import (
     STACK_ENTRIES,
     eig,
@@ -61,8 +61,10 @@ class TestEig:
             eig(np.ones((2, 3)))
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(DimensionMismatch):
+        # a non-finite entry is invalid input, not a shape error
+        with pytest.raises(InvalidInput, match="^matrix contains non-finite entries$") as info:
             eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        assert not isinstance(info.value, DimensionMismatch)
 
 
 class TestMatrixExponential:

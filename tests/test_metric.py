@@ -112,7 +112,7 @@ class TestPTNormalize:
         for build in (lambda P: pt_normalize(eig(H), P), lambda P: cpt_system(H, P),
                       lambda P: build_equivalence_pt(H, P)):
             with pytest.raises(
-                DimensionMismatch, match="^parity and eigenvector dimensions differ$"
+                DimensionMismatch, match=r"^parity must be 2 x 2, got shape \(3, 3\)$"
             ):
                 build(np.eye(3))
 
