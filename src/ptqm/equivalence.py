@@ -14,6 +14,15 @@ the left, so two canonical choices are provided:
   the PT-normalized eigenvectors of H, which reproduces the reference
   closed-form map of the two-level model.  Pull-backs computed in the two
   gauges differ by conjugation with a diagonal phase unitary.
+
+:func:`heisenberg_evolve` is the literal definition e^{iHt} O e^{-iHt}.
+:func:`consistency_demo` evolves in the frame of the canonical U instead,
+where h is real diagonal and the exponentials are phases: dense
+e^{+-iHt} lose accuracy like kappa(eta)^2 eps, the frame like
+kappa(eta) eps.  It evolves the Hermitian part of o = U O U^{-1}, which
+the t = 0 symmetric/CPT-invariant test proves Hermitian up to rounding,
+and it refuses with :class:`~ptqm.errors.IllConditioned` a metric whose
+kappa(eta) n eps exceeds the tolerance.
 """
 
 from __future__ import annotations
@@ -22,7 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NotHermitianInput, PseudoHermiticityViolated
+from .errors import (
+    IllConditioned,
+    InvalidInput,
+    NotHermitianInput,
+    PseudoHermiticityViolated,
+)
 from .linalg import (
     DEFAULT_TOL,
     as_square_matrix,
@@ -168,20 +182,45 @@ def consistency_demo(H, C, P, metric: Metric, O, times, tol: float = DEFAULT_TOL
     dynamical-inconsistency demonstration; at special times where O_H(t)
     returns to +-O the symmetric/CPT-invariant check passes again.
 
-    O_H(t) is evolved in stacks of :func:`~ptqm.linalg.time_chunks`.  The
-    symmetric/CPT-invariant check runs on each whole stack, with C P formed
-    once; eta-Hermiticity is checked one time at a time.
+    O_H(t) is evolved in the Hermitian frame of :func:`build_equivalence`:
+    O_H(t) = U^-1 e^{iht} o e^{-iht} U with o = U O U^-1 and h the real
+    diagonal of U H U^-1, so the exponentials are scalar phases and the
+    rounding error grows like kappa(eta) eps, not kappa(eta)^2 eps as with
+    dense e^{+-iHt}.  o is replaced by its Hermitian part: for a symmetric
+    O, (eta O - O^dagger eta)^T = O CP - CP O*, so passing the t = 0 test
+    makes o Hermitian up to rounding, and the projection drops that
+    rounding instead of letting it grow along the flow.
+
+    The run is refused with :class:`IllConditioned` before the t = 0 test
+    when kappa(eta) n eps, the rounding error the frame leaves in the eta
+    residual of O_H(t), exceeds ``tol``.  Times run in stacks of
+    :func:`~ptqm.linalg.time_chunks`; the symmetric/CPT-invariant check
+    runs on each whole stack, with C P formed once, and eta-Hermiticity is
+    checked one time at a time.
     """
+    w = metric.eigenvalues
+    kappa = w[-1] / w[0]
+    rounding = kappa * metric.dim * np.finfo(float).eps
+    if not rounding <= tol:
+        raise IllConditioned(
+            f"metric condition number kappa = {kappa:.3e} puts rounding error "
+            f"kappa n eps = {rounding:.3e} above tolerance {tol:.3e}"
+        )
     if not check_observable_bender(O, C, P, tol).passed:
         raise InvalidInput("input observable must be symmetric and CPT-invariant at t = 0")
     CP = _coerce_CP(C, P, np.shape(O)[0])
     # sized here, so that a refusal names the operand of the wrong size
     Hm = as_square_matrix(H, "Hamiltonian", len(CP))
     as_square_matrix(metric.eta, "metric", len(CP))
+    pair = build_equivalence(Hm, metric, tol)
+    Uinv = np.linalg.inv(pair.U)
+    h = np.diag(np.diag(pair.h).real)
+    o = pair.U @ as_square_matrix(O, "observable") @ Uinv
+    o = 0.5 * (o + o.conj().T)
     rows = []
     ts = np.asarray(times, dtype=float)
     for chunk in time_chunks(ts, len(CP)):
-        Os = heisenberg_evolve(Hm, O, chunk)
+        Os = Uinv @ heisenberg_evolve(h, o, chunk) @ pair.U
         symmetric, cpt_invariant = _bender_stack(Os, CP, tol)
         for t, Ot, sym, cpt in zip(
             chunk.tolist(), Os, symmetric.tolist(), cpt_invariant.tolist()

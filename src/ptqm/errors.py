@@ -51,6 +51,10 @@ class SelfOrthogonalEigenvector(NumericalFailure):
     """An eigenvector has (numerically) vanishing PT self-product (exceptional point)."""
 
 
+class IllConditioned(NumericalFailure):
+    """The metric's condition number puts rounding error above the tolerance."""
+
+
 class MetricNotPositive(NumericalFailure):
     """A metric built from H came out non-positive (broken phase, sign error, singular V)."""
 

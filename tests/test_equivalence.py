@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ptqm.equivalence import (
     BenderCheck,
@@ -13,11 +16,13 @@ from ptqm.equivalence import (
 )
 from ptqm.errors import (
     DimensionMismatch,
+    IllConditioned,
     InvalidInput,
     NotHermitianInput,
+    NumericalFailure,
     PseudoHermiticityViolated,
 )
-from ptqm.linalg import eig, matrix_exponential
+from ptqm.linalg import DEFAULT_TOL, eig, matrix_exponential
 from ptqm.metric import Metric, metric_from_CPT, pt_normalize
 from ptqm.two_level import (
     PARITY,
@@ -269,6 +274,50 @@ class TestConsistencyDemo:
         H, C, metric = reference_setup(REFERENCE)
         with pytest.raises(InvalidInput):
             consistency_demo(H, C, PARITY, metric, SIGMA_2, [0.0, 1.0])
+
+    def test_ill_conditioned_refused_before_t0_test(self):
+        # kappa(eta) = 2 / d near the EP: 2e8 n eps = 8.9e-8 exceeds 1e-10
+        p = TwoLevelParams(2.0 * (1.0 - 1e-8), 1.0, np.pi / 6)
+        H, C, metric = reference_setup(p)
+        with pytest.raises(IllConditioned, match=r"kappa = 2\.000e\+08"):
+            consistency_demo(H, C, PARITY, metric, SIGMA_2, [0.0, 1.0])
+
+    @pytest.mark.parametrize("eps", [0.2, 1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [4, 8, 32])
+    def test_conditioning_ladder(self, n, eps, rng):
+        # kappa(eta) = e^{4 eps} exactly, on a unit-gap real spectrum far
+        # from any EP: right answers, or a numerical failure where kappa n eps
+        # exceeds the tolerance
+        try:
+            H, P, C, metric, O = pt_symmetric_system(n, rng, eps)
+            rows = consistency_demo(H, C, P, metric, O, np.linspace(0.0, 3.0, 16))
+        except NumericalFailure:
+            assert math.exp(4 * eps) * n * np.finfo(float).eps > DEFAULT_TOL
+            return
+        assert all(r.eta_hermitian for r in rows)
+        assert rows[0].symmetric and rows[0].cpt_invariant
+        assert not any(r.symmetric or r.cpt_invariant for r in rows[1:])
+
+    @pytest.mark.parametrize("n", [2, 64])
+    def test_exponentials_are_diagonal(self, n, rng, monkeypatch):
+        # the frame makes every exponential a diagonal of phases; a dense
+        # one would bring back rounding that grows like kappa(eta)^2 eps
+        if n == 2:
+            (H, C, metric), P, O = reference_setup(REFERENCE), PARITY, S_mu(REFERENCE, 2)
+        else:
+            H, P, C, metric, O = pt_symmetric_system(n, rng)
+        arguments = []
+        original = scipy.linalg.expm
+
+        def recording(A):
+            arguments.append(np.array(A))
+            return original(A)
+
+        monkeypatch.setattr(scipy.linalg, "expm", recording)
+        consistency_demo(H, C, P, metric, O, np.linspace(0.0, 3.0, 37))
+        assert arguments
+        for A in arguments:
+            assert not np.any(A * (1 - np.eye(n)))
 
 
 def test_two_gauges_differ_by_diagonal_phase(rng):
