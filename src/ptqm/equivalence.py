@@ -19,10 +19,11 @@ the left, so two canonical choices are provided:
 :func:`consistency_demo` evolves in the frame of the canonical U instead,
 where h is real diagonal and the exponentials are phases: dense
 e^{+-iHt} lose accuracy like kappa(eta)^2 eps, the frame like
-kappa(eta) eps.  It evolves the Hermitian part of o = U O U^{-1}, which
-the t = 0 symmetric/CPT-invariant test proves Hermitian up to rounding,
-and it refuses with :class:`~ptqm.errors.IllConditioned` a metric whose
-kappa(eta) n eps exceeds the tolerance.
+kappa(eta) eps.  Under the CPT metric it evolves the Hermitian part of
+o = U O U^{-1}, which the t = 0 symmetric/CPT-invariant test proves
+Hermitian up to rounding, and it refuses with
+:class:`~ptqm.errors.IllConditioned` a run whose rounding fails a test
+that holds exactly, instead of printing the wrong answer.
 """
 
 from __future__ import annotations
@@ -66,6 +67,14 @@ def build_equivalence(H, metric: Metric, tol: float = DEFAULT_TOL) -> Equivalenc
     ``tol`` bounds the relative pseudo-Hermiticity residual of H.
     """
     Hm = as_square_matrix(H, "Hamiltonian", metric.dim)
+    U, U_inv, _ = _canonical_map(Hm, metric, tol)
+    return EquivalencePair(U=U, h=U @ Hm @ U_inv)
+
+
+def _canonical_map(Hm: np.ndarray, metric: Metric, tol: float):
+    """(U, U^{-1}, w) of :func:`build_equivalence`: w holds the eigenvalues
+    of rho H rho^{-1}, descending, which h = U H U^{-1} has on its
+    diagonal up to rounding."""
     resid = relative_gap(metric.eta @ Hm, Hm.conj().T @ metric.eta)
     if not resid <= tol:
         raise PseudoHermiticityViolated(
@@ -83,8 +92,7 @@ def build_equivalence(H, metric: Metric, tol: float = DEFAULT_TOL) -> Equivalenc
     c = V[np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0), np.arange(V.shape[1])]
     V /= c / np.hypot(c.real, c.imag)
     U = V.conj().T @ rho
-    h = U @ Hm @ np.linalg.inv(U)
-    return EquivalencePair(U=U, h=h)
+    return U, np.linalg.inv(U), w[order]
 
 
 def build_equivalence_pt(H, P, tol: float = DEFAULT_TOL) -> EquivalencePair:
@@ -182,55 +190,76 @@ def consistency_demo(H, C, P, metric: Metric, O, times, tol: float = DEFAULT_TOL
     dynamical-inconsistency demonstration; at special times where O_H(t)
     returns to +-O the symmetric/CPT-invariant check passes again.
 
-    O_H(t) is evolved in the Hermitian frame of :func:`build_equivalence`:
-    O_H(t) = U^-1 e^{iht} o e^{-iht} U with o = U O U^-1 and h the real
-    diagonal of U H U^-1, so the exponentials are scalar phases and the
-    rounding error grows like kappa(eta) eps, not kappa(eta)^2 eps as with
-    dense e^{+-iHt}.  o is replaced by its Hermitian part: for a symmetric
-    O, (eta O - O^dagger eta)^T = O CP - CP O*, so passing the t = 0 test
-    makes o Hermitian up to rounding, and the projection drops that
-    rounding instead of letting it grow along the flow.
+    O_H(t) is evolved in the Hermitian frame of :func:`build_equivalence`,
+    as O_H(t) = O + U^-1 (e^{iht} o e^{-iht} - o) U with o = U O U^-1 and
+    h = U H U^-1 taken as the diagonal of its real eigenvalues, which the
+    construction of U computed.  The exponentials are scalar phases,
+    so the rounding error grows like kappa(eta) eps, not kappa(eta)^2 eps
+    as with dense e^{+-iHt}, and the t = 0 row is O itself.  When
+    ``metric`` is the CPT metric eta = (C P)^T, o is replaced by its
+    Hermitian part: for a symmetric O, (eta O - O^dagger eta)^T =
+    O CP - CP O*, so passing the t = 0 test makes O eta-self-adjoint and o
+    Hermitian up to rounding, and the projection drops that rounding
+    instead of letting it grow along the flow.  For any other metric o is
+    evolved as it is, and the rows say whether O is eta-self-adjoint.
 
-    The run is refused with :class:`IllConditioned` before the t = 0 test
-    when kappa(eta) n eps, the rounding error the frame leaves in the eta
-    residual of O_H(t), exceeds ``tol``.  Times run in stacks of
-    :func:`~ptqm.linalg.time_chunks`; the symmetric/CPT-invariant check
-    runs on each whole stack, with C P formed once, and eta-Hermiticity is
-    checked one time at a time.
+    Under the CPT metric every row is eta-Hermitian in exact arithmetic, so
+    a row that fails that test is rounding, and the run is refused with
+    :class:`IllConditioned` instead of printing it.  So is a failed t = 0
+    test whose CPT residual lies within its rounding scale
+    2 n eps kappa(eta) ||O|| ||CP|| / ||O CP||; a larger residual, or an
+    O that is not symmetric, is :class:`InvalidInput`.  Times run in
+    stacks of :func:`~ptqm.linalg.time_chunks`; the symmetric/CPT-invariant
+    check runs on each whole stack, with C P formed once, and
+    eta-Hermiticity is checked one time at a time.
     """
-    w = metric.eigenvalues
-    kappa = w[-1] / w[0]
-    rounding = kappa * metric.dim * np.finfo(float).eps
-    if not rounding <= tol:
-        raise IllConditioned(
-            f"metric condition number kappa = {kappa:.3e} puts rounding error "
-            f"kappa n eps = {rounding:.3e} above tolerance {tol:.3e}"
-        )
-    if not check_observable_bender(O, C, P, tol).passed:
+    Om = as_square_matrix(O, "observable")
+    CP = _coerce_CP(C, P, len(Om))
+    kappa = metric.eigenvalues[-1] / metric.eigenvalues[0]
+    if not check_observable_bender(Om, C, P, tol).passed:
+        gap = relative_gap(Om @ CP, CP @ Om.conj())
+        scale = 2 * len(Om) * np.finfo(float).eps * kappa
+        scale *= np.linalg.norm(Om) * np.linalg.norm(CP) / np.linalg.norm(Om @ CP)
+        if relative_gap(Om, Om.T) <= tol and gap <= scale:
+            raise IllConditioned(
+                f"the t = 0 CPT-invariance residual {gap:.3e} is within its rounding "
+                f"scale {scale:.3e} (kappa(eta) = {kappa:.3e}), so tolerance "
+                f"{tol:.3e} cannot decide it"
+            )
         raise InvalidInput("input observable must be symmetric and CPT-invariant at t = 0")
-    CP = _coerce_CP(C, P, np.shape(O)[0])
     # sized here, so that a refusal names the operand of the wrong size
     Hm = as_square_matrix(H, "Hamiltonian", len(CP))
     as_square_matrix(metric.eta, "metric", len(CP))
-    pair = build_equivalence(Hm, metric, tol)
-    Uinv = np.linalg.inv(pair.U)
-    h = np.diag(np.diag(pair.h).real)
-    o = pair.U @ as_square_matrix(O, "observable") @ Uinv
-    o = 0.5 * (o + o.conj().T)
+    U, U_inv, w = _canonical_map(Hm, metric, tol)
+    h = np.diag(w.astype(complex))
+    o = U @ Om @ U_inv
+    cpt_metric = relative_gap(metric.eta, CP.T) <= tol
+    if cpt_metric:
+        o = 0.5 * (o + o.conj().T)
     rows = []
     ts = np.asarray(times, dtype=float)
     for chunk in time_chunks(ts, len(CP)):
-        Os = Uinv @ heisenberg_evolve(h, o, chunk) @ pair.U
+        dx = heisenberg_evolve(h, o, chunk)
+        dx -= o
+        Os = U_inv @ dx @ U
+        Os += Om
         symmetric, cpt_invariant = _bender_stack(Os, CP, tol)
         for t, Ot, sym, cpt in zip(
             chunk.tolist(), Os, symmetric.tolist(), cpt_invariant.tolist()
         ):
-            rows.append(
-                ConsistencyRow(
-                    t=t,
-                    symmetric=sym,
-                    cpt_invariant=cpt,
-                    eta_hermitian=check_observable_hermitian(Ot, metric, tol),
-                )
+            row = ConsistencyRow(
+                t=t,
+                symmetric=sym,
+                cpt_invariant=cpt,
+                eta_hermitian=check_observable_hermitian(Ot, metric, tol),
             )
+            if cpt_metric and not row.eta_hermitian:
+                raise IllConditioned(
+                    f"rounding (kappa(eta) = {kappa:.3e}) fails the eta-Hermiticity "
+                    f"test at t = {t:.6g}, which the CPT metric passes exactly, "
+                    f"at tolerance {tol:.3e}"
+                )
+            rows.append(row)
+        # free this chunk's stacks before the next one is evolved
+        del dx, Os
     return rows

@@ -52,7 +52,8 @@ class SelfOrthogonalEigenvector(NumericalFailure):
 
 
 class IllConditioned(NumericalFailure):
-    """The metric's condition number puts rounding error above the tolerance."""
+    """Rounding, amplified by the metric's condition number, fails a test
+    that holds exactly, or is as large as the residual a test must judge."""
 
 
 class MetricNotPositive(NumericalFailure):

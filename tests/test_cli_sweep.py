@@ -6,7 +6,7 @@ constants and is recorded in CHANGES.md."""
 import cli_sweep
 
 CODES = {0: 643, 2: 173, 3: 84}
-DIGEST = "26ba2d4d5b3840fc3f906bf8ae910dc0336a51cff4ef01462c0c332c491a0aa0"
+DIGEST = "fdbd976f52eea7727f1f64301be9ecd7fb7559f650f5ea5191bc5b6eebe883c2"
 
 
 def test_sweep_is_byte_identical():

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -22,8 +20,8 @@ from ptqm.errors import (
     NumericalFailure,
     PseudoHermiticityViolated,
 )
-from ptqm.linalg import DEFAULT_TOL, eig, matrix_exponential
-from ptqm.metric import Metric, metric_from_CPT, pt_normalize
+from ptqm.linalg import eig, matrix_exponential
+from ptqm.metric import Metric, metric_from_biorthonormal, metric_from_CPT, pt_normalize
 from ptqm.two_level import (
     PARITY,
     SIGMA_0,
@@ -275,24 +273,64 @@ class TestConsistencyDemo:
         with pytest.raises(InvalidInput):
             consistency_demo(H, C, PARITY, metric, SIGMA_2, [0.0, 1.0])
 
-    def test_ill_conditioned_refused_before_t0_test(self):
-        # kappa(eta) = 2 / d near the EP: 2e8 n eps = 8.9e-8 exceeds 1e-10
+    def test_rounding_refused_not_printed_near_ep(self):
+        # kappa(eta) = 2 / d near the EP: S_2 is eta-self-adjoint at every t,
+        # but rounding fails that test at t = 1, which is a numerical
+        # failure; sigma_2 is not symmetric, which no conditioning excuses
         p = TwoLevelParams(2.0 * (1.0 - 1e-8), 1.0, np.pi / 6)
         H, C, metric = reference_setup(p)
-        with pytest.raises(IllConditioned, match=r"kappa = 2\.000e\+08"):
+        with pytest.raises(IllConditioned, match=r"kappa\(eta\) = 2\.000e\+08"):
+            consistency_demo(H, C, PARITY, metric, S_mu(p, 2), [0.0, 1.0])
+        with pytest.raises(InvalidInput):
             consistency_demo(H, C, PARITY, metric, SIGMA_2, [0.0, 1.0])
+
+    def test_undecidable_t0_test_refused_as_ill_conditioned(self, rng):
+        # at kappa(eta) = e^16 the built C and O disagree by 3.6e-9 > tol
+        # through rounding alone: not an invalid observable
+        H, P, C, metric, O = pt_symmetric_system(4, rng, 4)
+        assert not check_observable_bender(O, C, P).passed
+        with pytest.raises(IllConditioned, match="cannot decide"):
+            consistency_demo(H, C, P, metric, O, [0.0, 1.0])
+
+    def test_non_cpt_metric_rows_match_literal_evolution(self):
+        # the rows under a valid metric other than (C P)^T are those of
+        # e^{iHt} O e^{-iHt}: eta = diag(1, 5) with H = diag(1, 2) and
+        # C = P = 1, where sigma_1 passes the t = 0 test but is not
+        # eta-self-adjoint, and the biorthonormal metric of eig's vectors,
+        # 12% from the CPT one at the reference point
+        H2, C2, _ = reference_setup(REFERENCE)
+        I = np.eye(2)
+        cases = [
+            (np.diag([1.0, 2.0]), I, I, Metric(np.diag([1.0, 5.0])), SIGMA_1),
+            (H2, C2, PARITY, metric_from_biorthonormal(eig(H2)), S_mu(REFERENCE, 2)),
+        ]
+        times = np.linspace(0.0, 3.0, 13)
+        eta_rows = []
+        for H, C, P, metric, O in cases:
+            rows = consistency_demo(H, C, P, metric, O, times)
+            reference = []
+            for t in times:
+                Ot = heisenberg_evolve(H, O, float(t))
+                bc = check_observable_bender(Ot, C, P)
+                reference.append(
+                    (bc.symmetric, bc.cpt_invariant, check_observable_hermitian(Ot, metric))
+                )
+            assert [(r.symmetric, r.cpt_invariant, r.eta_hermitian) for r in rows] == reference
+            eta_rows.append({r.eta_hermitian for r in rows})
+        assert eta_rows == [{False}, {True}]
 
     @pytest.mark.parametrize("eps", [0.2, 1, 2, 3, 4, 5])
     @pytest.mark.parametrize("n", [4, 8, 32])
     def test_conditioning_ladder(self, n, eps, rng):
         # kappa(eta) = e^{4 eps} exactly, on a unit-gap real spectrum far
-        # from any EP: right answers, or a numerical failure where kappa n eps
-        # exceeds the tolerance
+        # from any EP: right answers up to eps = 3 (kappa = 1.6e5), where
+        # dense e^{+-iHt} answered (8, 3) wrongly; beyond, right answers or
+        # a numerical failure
         try:
             H, P, C, metric, O = pt_symmetric_system(n, rng, eps)
             rows = consistency_demo(H, C, P, metric, O, np.linspace(0.0, 3.0, 16))
         except NumericalFailure:
-            assert math.exp(4 * eps) * n * np.finfo(float).eps > DEFAULT_TOL
+            assert eps > 3
             return
         assert all(r.eta_hermitian for r in rows)
         assert rows[0].symmetric and rows[0].cpt_invariant
