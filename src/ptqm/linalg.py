@@ -7,8 +7,9 @@ residual test at a caller's ``tol`` (``DEFAULT_TOL`` by default) reads
 ``relative_gap(X, Y) <= tol``: relative in the Frobenius norm with no
 floor, so it does not depend on the scale of X, and a NaN fails it.
 
-Importing this module loads numpy only: the first call of
-:func:`matrix_exponential` imports ``scipy.linalg``, once per process.
+Importing this module loads numpy only.  :func:`matrix_exponential` of a
+diagonal matrix never loads scipy; its first call on any other matrix
+imports ``scipy.linalg``, once per process.
 """
 
 from __future__ import annotations
@@ -138,18 +139,26 @@ def matrix_exponential(M, times=None) -> np.ndarray:
     """exp(M) for an arbitrary finite square matrix.
 
     With a 1-D ``times`` (real or complex), the stack of exp(t M) over t,
-    shape ``(len(times), n, n)``, from one batched ``expm`` call; each
-    slice equals ``matrix_exponential(t * M)`` bit for bit.
+    shape ``(len(times), n, n)``; each slice equals
+    ``matrix_exponential(t * M)`` bit for bit.  A diagonal M (no nonzero
+    entry off the diagonal) never loads scipy: numpy takes exp of the
+    diagonal, as ``scipy.linalg.expm`` does for each such slice, so the
+    bits are the same.  Any other M goes to one batched ``expm`` call.
     """
-    import scipy.linalg
-
     A = as_square_matrix(M)
-    if times is None:
-        return scipy.linalg.expm(A)
-    ts = np.asarray(times)
-    if ts.ndim != 1:
-        raise DimensionMismatch(f"times must be one-dimensional, got shape {ts.shape}")
-    return scipy.linalg.expm(ts[:, None, None] * A)
+    if times is not None:
+        ts = np.asarray(times)
+        if ts.ndim != 1:
+            raise DimensionMismatch(f"times must be one-dimensional, got shape {ts.shape}")
+    d = np.diagonal(A)
+    if np.count_nonzero(A) > np.count_nonzero(d):
+        import scipy.linalg
+
+        return scipy.linalg.expm(A if times is None else ts[:, None, None] * A)
+    E = np.exp(d if times is None else ts[:, None] * d)
+    out = np.zeros(E.shape + d.shape, dtype=complex)
+    np.einsum("...ii->...i", out)[...] = E
+    return out
 
 
 @dataclass(frozen=True)

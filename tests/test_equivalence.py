@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from ptqm import equivalence
 from ptqm.equivalence import (
     BenderCheck,
     build_equivalence,
@@ -345,13 +346,16 @@ class TestConsistencyDemo:
         else:
             H, P, C, metric, O = pt_symmetric_system(n, rng)
         arguments = []
-        original = scipy.linalg.expm
 
-        def recording(A):
-            arguments.append(np.array(A))
-            return original(A)
+        def recording(M, times=None):
+            arguments.append(np.array(M))
+            return matrix_exponential(M, times)
 
-        monkeypatch.setattr(scipy.linalg, "expm", recording)
+        def refuse(A):
+            raise AssertionError("scipy.linalg.expm called")
+
+        monkeypatch.setattr(equivalence, "matrix_exponential", recording)
+        monkeypatch.setattr(scipy.linalg, "expm", refuse)
         consistency_demo(H, C, P, metric, O, np.linspace(0.0, 3.0, 37))
         assert arguments
         for A in arguments:

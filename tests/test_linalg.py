@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ptqm.errors import DimensionMismatch, InvalidInput, InvalidMetric, NonDiagonalizable
 from ptqm.linalg import (
@@ -93,13 +94,40 @@ class TestMatrixExponential:
 
     def test_stack_slices_equal_scalar_calls(self, rng):
         for n in (2, 5):
-            M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            dense = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             times = np.concatenate([[0.0], rng.uniform(-4.0, 4.0, size=30)])
-            for ts in (times, 1j * times, -1j * times):
-                stack = matrix_exponential(M, ts)
-                assert stack.shape == (len(ts), n, n)
-                for t, E in zip(ts, stack):
-                    assert np.array_equal(E, matrix_exponential(t * M))
+            for M in (dense, np.diag(np.diagonal(dense))):
+                for ts in (times, 1j * times, -1j * times):
+                    stack = matrix_exponential(M, ts)
+                    assert stack.shape == (len(ts), n, n)
+                    for t, E in zip(ts, stack):
+                        assert np.array_equal(E, matrix_exponential(t * M))
+
+    @pytest.mark.parametrize("n", [1, 2, 64])
+    def test_diagonal_gives_the_bytes_of_scipy(self, n, rng):
+        M = np.diag(rng.normal(size=n) + 1j * rng.normal(size=n))
+        if n > 1:
+            M[1, 1] = 0.0
+        assert matrix_exponential(M).tobytes() == scipy.linalg.expm(M).tobytes()
+        times = np.concatenate([[0.0], rng.uniform(-4.0, 4.0, size=30)])
+        for ts in (times, 1j * times, -1j * times):
+            ours = matrix_exponential(M, ts)
+            theirs = scipy.linalg.expm(ts[:, None, None] * M)
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            assert ours.tobytes() == theirs.tobytes()
+
+    def test_only_off_diagonal_entries_reach_scipy(self, monkeypatch):
+        def refuse(A):
+            raise AssertionError("scipy.linalg.expm called")
+
+        monkeypatch.setattr(scipy.linalg, "expm", refuse)
+        D = np.diag([1.0, -2.0, 0.5j])
+        np.testing.assert_allclose(matrix_exponential(D), np.diag(np.exp(np.diagonal(D))))
+        assert matrix_exponential(D, 1j * np.arange(4.0)).shape == (4, 3, 3)
+        D[0, 2] = 1e-300
+        for call in (lambda: matrix_exponential(D), lambda: matrix_exponential(D, [0.5])):
+            with pytest.raises(AssertionError, match="scipy.linalg.expm called"):
+                call()
 
     def test_times_must_be_one_dimensional(self):
         with pytest.raises(DimensionMismatch):

@@ -1,9 +1,11 @@
 """What a fresh interpreter loads for ``import ptqm`` and each 2x2 command.
 
-``import ptqm`` and ``two-level`` need numpy only; ``check`` and
-``evolve`` call ``scipy.linalg.expm`` but never ``scipy.sparse``.  Each
-case runs ``python -m ptqm.cli`` (through :mod:`runpy`) in a new
-interpreter and reads ``sys.modules`` after it.
+``import ptqm``, ``two-level`` and ``check`` need numpy only: ``check``
+evolves in the Hermitian frame, whose exponentials are diagonal and never
+reach scipy.  ``evolve`` calls ``scipy.linalg.expm`` on a dense
+Hamiltonian but never loads ``scipy.sparse``.  Each case runs
+``python -m ptqm.cli`` (through :mod:`runpy`) in a new interpreter and
+reads ``sys.modules`` after it.
 """
 
 import json
@@ -44,15 +46,19 @@ def scipy_modules(argv):
     return json.loads(proc.stderr.splitlines()[-1])
 
 
-@pytest.mark.parametrize("argv", [[], ["two-level", *MODEL]], ids=["import", "two-level"])
+@pytest.mark.parametrize("argv", [
+    [],
+    ["two-level", *MODEL],
+    ["check", *MODEL, "--steps", "32"],
+    ["check", *MODEL, "--steps", "32", "--format", "csv"],
+], ids=["import", "two-level", "check", "check-csv"])
 def test_no_scipy(argv):
     assert scipy_modules(argv) == []
 
 
 @pytest.mark.parametrize("argv", [
-    ["check", *MODEL, "--steps", "32"],
     ["evolve", *MODEL, "--t-max", "3.0", "--steps", "11"],
-], ids=["check", "evolve"])
+], ids=["evolve"])
 def test_no_scipy_sparse(argv):
     loaded = scipy_modules(argv)
     assert "scipy.linalg" in loaded
