@@ -60,6 +60,8 @@ def _write_output(text: str, path: str | None) -> None:
 
 def _model(args):
     """(params, H, C, eta) of the two-level model named by the arguments."""
+    if not 0 < args.tolerance < math.inf:
+        raise InvalidInput("tolerance must be positive and finite")
     p = two_level.TwoLevelParams(args.r, args.s, args.theta)
     H = two_level.build_H(p)
     _, C, eta = metric.cpt_system(H, two_level.PARITY, args.tolerance)
@@ -170,13 +172,13 @@ def _spectrum_doc(args) -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
     common.add_argument("--output", default=None, help="write to file (atomic)")
 
     model = argparse.ArgumentParser(add_help=False)
     model.add_argument("--r", type=float, required=True)
     model.add_argument("--s", type=float, required=True)
     model.add_argument("--theta", type=float, required=True, help="radians")
+    model.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
 
     parser = argparse.ArgumentParser(
         prog="ptqm",
@@ -185,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_two = sub.add_parser("two-level", parents=[common, model])
-    p_two.add_argument("--format", choices=["json"], default="json")
     p_two.set_defaults(handler=_two_level_doc)
 
     p_check = sub.add_parser("check", parents=[common, model])
@@ -197,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve.add_argument("--t-max", type=float, required=True)
     p_evolve.add_argument("--steps", type=int, required=True)
     p_evolve.add_argument("--psi0", default=None, help="re0,im0,re1,im1")
-    p_evolve.add_argument("--format", choices=["csv"], default="csv")
     p_evolve.set_defaults(handler=_evolve_doc)
 
     p_spec = sub.add_parser("spectrum", parents=[common])
@@ -205,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--k", type=int, default=5)
     p_spec.add_argument("--L", type=float, default=spectral.DEFAULT_L)
     p_spec.add_argument("--N", type=int, default=spectral.DEFAULT_N)
-    p_spec.add_argument("--format", choices=["json"], default="json")
     p_spec.set_defaults(handler=_spectrum_doc)
 
     return parser
@@ -215,8 +214,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 0 < args.tolerance < math.inf:
-            raise InvalidInput("tolerance must be positive and finite")
         text = args.handler(args)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)

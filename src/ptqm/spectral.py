@@ -28,8 +28,8 @@ of a fine-grid solution at nu = 1.  At nu = 2, outside the regime of
 :class:`SpectralProblem`, the grid solver matches the Hermitian
 p^2 + 4 x^4 - 2 x to 1e-7.
 
-Eigenvectors leaking more than 1% of their norm into the outer 10% of the
-box are discarded as box artifacts.
+Eigenvectors with more than 1e-10 of their norm in the outer 10% of the
+box are box artifacts; a grid with fewer than k levels left is refused.
 
 Importing this module loads numpy only: the first grid assembly imports
 ``scipy.sparse``, and the first grid solve ``scipy.sparse.linalg``, once
@@ -48,7 +48,11 @@ from .errors import InvalidParams, NumericalFailure, OutOfRegime
 DEFAULT_L = 8.0
 DEFAULT_N = 1000
 
-_LEAK_FRACTION = 0.01
+#: Largest share of a level's weight in the outer 10% of the box.  The wall
+#: shifts a level by up to ~300 times that share (2.4e-4 at 8.1e-7 for nu = 1.99,
+#: L = 2.5, k = 5), so 1e-10 keeps it far inside the 1e-6 convergence test; on the
+#: default box the share is <= 1.1e-17 for k = 5 and 5.1e-12 for nu = 0, k = 10.
+_LEAK_BOUND = 1e-10
 _EDGE_FRACTION = 0.05  # per side; outer 10% of the box in total
 _CONVERGENCE_ABS = 1e-6
 
@@ -114,10 +118,8 @@ def _operator(nu: float, L: float, N: int):
 
 
 def _solve_grid(nu: float, L: float, N: int, k: int):
-    """Lowest levels of one boxed grid, box artifacts filtered out.
-
-    Returns (eigenvalues ascending by real part, grid spacing).
-    """
+    """(lowest k levels ascending by real part, grid spacing) of one boxed grid,
+    box artifacts filtered out; :class:`NumericalFailure` if fewer survive."""
     import scipy.sparse.linalg as spla
 
     A, h = _operator(nu, L, N)
@@ -138,16 +140,22 @@ def _solve_grid(nu: float, L: float, N: int, k: int):
     edge = max(1, int(_EDGE_FRACTION * n))
     weight = abs(v) ** 2
     leak = (weight[:edge].sum(axis=0) + weight[-edge:].sum(axis=0)) / weight.sum(axis=0)
-    return w[leak < _LEAK_FRACTION][:k], h
+    w = w[leak < _LEAK_BOUND]
+    if len(w) < k:
+        raise NumericalFailure(
+            f"only {len(w)} of {k} levels at nu = {nu} keep < {_LEAK_BOUND:g} of their weight"
+            f" in the outer 10% of the box (N = {N}, L = {L}): the box is too small"
+        )
+    return w[:k], h
 
 
 def spectrum(p: SpectralProblem, k: int) -> SpectrumResult:
     """Lowest k levels by real part, Richardson-extrapolated.
 
     Three grids are solved (N, 2N, 4N at fixed L).  The reported levels
-    extrapolate the (N, 2N) pair.  A level is unconverged unless the
-    (2N, 4N) extrapolation has it too and agrees with the reported one to
-    better than 1e-6 in the real part.
+    extrapolate the (N, 2N) pair.  A level is unconverged unless the (2N, 4N)
+    extrapolation agrees with it to better than 1e-6 in the real part.  A grid
+    keeping fewer than k levels past the box-artifact filter raises.
     """
     if k < 1 or k > p.N - 2:
         raise InvalidParams(f"k must be in 1..{p.N - 2}")
@@ -160,22 +168,15 @@ def spectrum(p: SpectralProblem, k: int) -> SpectrumResult:
 
     def richardson(coarse, fine):
         (w1, h1), (w2, h2) = coarse, fine
-        m = min(len(w1), len(w2))
-        if m == 0:
-            raise NumericalFailure("all levels rejected as box artifacts")
         rho = (h1 / h2) ** 2
-        return (rho * w2[:m] - w1[:m]) / (rho - 1.0)
+        return (rho * w2 - w1) / (rho - 1.0)
 
     levels = richardson(grid_n, grid_2n)
-    refined = richardson(grid_2n, grid_4n)
-    m = min(len(levels), len(refined))
-    gap = np.abs(levels[:m].real - refined[:m].real)
+    gap = np.abs(levels.real - richardson(grid_2n, grid_4n).real)
     return SpectrumResult(
         eigenvalues=levels,
         max_imag=float(np.abs(levels.imag).max()),
-        unconverged=tuple(
-            i for i in range(len(levels)) if i >= m or not gap[i] < _CONVERGENCE_ABS
-        ),
+        unconverged=tuple(i for i in range(k) if not gap[i] < _CONVERGENCE_ABS),
     )
 
 

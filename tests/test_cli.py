@@ -104,7 +104,8 @@ class TestTwoLevel:
 
 def test_bad_tolerance_exit_2(capsys):
     # a NaN tolerance makes every tolerance comparison false, so no check fails
-    for command in (["two-level"] + MODEL, ["spectrum", "--nu", "1"]):
+    evolve = ["evolve"] + MODEL + ["--t-max", "1", "--steps", "3"]
+    for command in (["two-level"] + MODEL, ["check"] + MODEL, evolve):
         for tolerance in ("nan", "inf", "0", "-0.5"):
             code = main(command + ["--tolerance", tolerance])
             captured = capsys.readouterr()
@@ -359,6 +360,16 @@ class TestSpectrum:
         assert "levels 1 (4.10924" in captured.err
         assert ", 2 (7.56231" in captured.err
         assert "did not converge under grid refinement (L = 8.0, N = 100)" in captured.err
+
+    @pytest.mark.parametrize("nu", ["0", "1"])
+    def test_box_too_small_exit_3(self, capsys, nu):
+        # every level converges under refinement here, but the wall shifts
+        # it: at nu = 1, E4 by 17%
+        code = main(["spectrum", "--nu", nu, "--k", "5", "--L", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith(f"error: only 0 of 5 levels at nu = {float(nu)} keep")
+        assert captured.err.endswith("(N = 2000, L = 2.0): the box is too small\n")
 
     def test_converges_near_nu_2(self, capsys):
         # the complex contour keeps the levels bound as nu -> 2

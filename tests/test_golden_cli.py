@@ -1,14 +1,17 @@
 """Byte-for-byte golden outputs of the 2x2 CLI commands.
 
 Each file in ``tests/golden/`` holds the argv of one command with its
-exit code, standard output and standard error.  ``spectrum`` is left
-out: its last digits depend on the BLAS thread count.
+exit code, standard output and standard error.  ``spectrum`` levels are
+left out: their last digits depend on the BLAS thread count.  Its two
+refusals are pinned, since neither prints a computed float: nu out of
+regime, and a box too small for k levels, whose message gives the number
+of surviving levels, N and L.
 
 Re-record after an intended output change with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
-The goldens pin ten argv.  ``tests/cli_sweep.py`` covers 900 seeded ones,
+The goldens pin eleven argv.  ``tests/cli_sweep.py`` covers 900 seeded ones,
 near-EP draws included, and prints one sha256 over all their outputs; a
 change that must keep CLI output byte-identical prints the same digest
 before and after it:
@@ -42,6 +45,7 @@ CASES = {
     "check_near_ep": ["check", "--r", "1.9999999", "--s", "1",
                       "--theta", "0.5235987755982988"],
     "spectrum_out_of_regime": ["spectrum", "--nu", "2"],
+    "spectrum_box_too_small": ["spectrum", "--nu", "0", "--k", "5", "--L", "2"],
 }
 
 

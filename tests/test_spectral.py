@@ -202,3 +202,44 @@ class TestContour:
         e0 = np.array(list(ground.values()))
         assert np.all(np.diff(e0) > 0) and e0.max() < QUARTIC_LEVELS[0]
         assert ground[1.9999] == pytest.approx(QUARTIC_LEVELS[0], abs=4e-5)
+
+
+class TestBoxTooSmall:
+    """A box too small for k levels is refused, not reported as converged:
+    grid refinement at fixed L cannot see the wall's shift of the levels."""
+
+    MESSAGE = (r"only \d of 5 levels at nu = {nu} keep < 1e-10 of their weight .*"
+               r" \(N = 2000, L = {L}\)")
+
+    def test_accepted_levels_agree_with_default_box(self):
+        refused = {}
+        for nu in (0.0, 0.5, 1.0, 1.7):
+            reference = converged_spectrum(SpectralProblem(nu), 5).eigenvalues
+            for L in (2.0, 3.0, 4.0, 5.0, 6.0):
+                try:
+                    res = spectrum(SpectralProblem(nu, L=L), 5)
+                except NumericalFailure as exc:
+                    assert "the box is too small" in str(exc), (nu, L)
+                    refused[nu, L] = True
+                    continue
+                refused[nu, L] = False
+                kept = [i for i in range(5) if i not in res.unconverged]
+                np.testing.assert_allclose(
+                    res.eigenvalues[kept], reference[kept], rtol=0, atol=1e-6,
+                    err_msg=f"nu = {nu}, L = {L}",
+                )
+        # every nu is refused at L = 2 and a wider box never turns a level bad
+        for nu in (0.0, 0.5, 1.0, 1.7):
+            row = [refused[nu, L] for L in (2.0, 3.0, 4.0, 5.0, 6.0)]
+            assert row[0] and row == sorted(row, reverse=True), (nu, row)
+        assert not all(refused.values())
+
+    def test_short_answer_refused(self):
+        # E0 ... E4 carry 4.5e-5 ... 2.1e-2 of their weight in the outer 10%
+        with pytest.raises(NumericalFailure, match=self.MESSAGE.format(nu="0.0", L="3.0")):
+            spectrum(SpectralProblem(0.0, L=3.0), 5)
+
+    def test_shifted_levels_refused(self):
+        # the wall shifts E4 by 2.6e-2 at 7.7e-5 of its weight near it
+        with pytest.raises(NumericalFailure, match=self.MESSAGE.format(nu="1.0", L="3.0")):
+            spectrum(SpectralProblem(1.0, L=3.0), 5)
