@@ -21,9 +21,9 @@ where h is real diagonal and the exponentials are phases: dense
 e^{+-iHt} lose accuracy like kappa(eta)^2 eps, the frame like
 kappa(eta) eps.  Under the CPT metric it evolves the Hermitian part of
 o = U O U^{-1}, which the t = 0 symmetric/CPT-invariant test proves
-Hermitian up to rounding, and it refuses with
-:class:`~ptqm.errors.IllConditioned` a run whose rounding fails a test
-that holds exactly, instead of printing the wrong answer.
+Hermitian up to rounding, tests both criteria on whole stacks of times,
+and refuses with :class:`~ptqm.errors.IllConditioned` a run whose
+rounding fails a test that holds exactly, instead of printing wrong rows.
 """
 
 from __future__ import annotations
@@ -74,11 +74,11 @@ def build_equivalence(H, metric: Metric, tol: float = DEFAULT_TOL) -> Equivalenc
 def _canonical_map(Hm: np.ndarray, metric: Metric, tol: float):
     """(U, U^{-1}, w) of :func:`build_equivalence`: w holds the eigenvalues
     of rho H rho^{-1}, descending, which h = U H U^{-1} has on its
-    diagonal up to rounding."""
-    resid = relative_gap(metric.eta @ Hm, Hm.conj().T @ metric.eta)
-    if not resid <= tol:
+    diagonal up to rounding.  Its eta H test is :func:`check_observable_hermitian`."""
+    if not check_observable_hermitian(Hm, metric, tol):
         raise PseudoHermiticityViolated(
-            f"||eta H - H^dagger eta|| / ||eta H|| = {resid:.3e} exceeds tolerance {tol:.3e}"
+            f"||eta H - H^dagger eta|| / ||eta H|| = {_eta_gap(Hm[None], metric.eta)[0]:.3e} "
+            f"exceeds tolerance {tol:.3e}"
         )
     Q = metric.eigenvectors
     rho = (Q * np.sqrt(metric.eigenvalues)) @ Q.conj().T
@@ -171,7 +171,12 @@ def check_observable_hermitian(O, metric: Metric, tol: float = DEFAULT_TOL) -> b
     """Observable criterion of this toolkit: self-adjointness w.r.t. eta,
     tested as eta O = O^dagger eta; ``metric`` was validated when built."""
     Om = as_square_matrix(O, "observable", metric.dim)
-    return bool(relative_gap(metric.eta @ Om, Om.conj().T @ metric.eta) <= tol)
+    return bool(_eta_gap(Om[None], metric.eta)[0] <= tol)
+
+
+def _eta_gap(Os: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """relative_gap(eta O, O^dagger eta) for each O of the (T, n, n) stack ``Os``."""
+    return relative_gap(eta @ Os, Os.conj().transpose(0, 2, 1) @ eta)
 
 
 @dataclass(frozen=True)
@@ -208,10 +213,9 @@ def consistency_demo(H, C, P, metric: Metric, O, times, tol: float = DEFAULT_TOL
     :class:`IllConditioned` instead of printing it.  So is a failed t = 0
     test whose CPT residual lies within its rounding scale
     2 n eps kappa(eta) ||O|| ||CP|| / ||O CP||; a larger residual, or an
-    O that is not symmetric, is :class:`InvalidInput`.  Times run in
-    stacks of :func:`~ptqm.linalg.time_chunks`; the symmetric/CPT-invariant
-    check runs on each whole stack, with C P formed once, and
-    eta-Hermiticity is checked one time at a time.
+    O that is not symmetric, is :class:`InvalidInput`, as is a non-finite
+    O_H(t).  Both criteria are tested on each stack of
+    :func:`~ptqm.linalg.time_chunks` times at once, with C P formed once.
     """
     Om = as_square_matrix(O, "observable")
     CP = _coerce_CP(C, P, len(Om))
@@ -243,23 +247,19 @@ def consistency_demo(H, C, P, metric: Metric, O, times, tol: float = DEFAULT_TOL
         dx -= o
         Os = U_inv @ dx @ U
         Os += Om
+        finite = np.isfinite(Os).all(axis=(1, 2))
+        if not finite.all():
+            raise InvalidInput(f"O_H(t) is not finite at t = {chunk[np.argmin(finite)]:.6g}")
         symmetric, cpt_invariant = _bender_stack(Os, CP, tol)
-        for t, Ot, sym, cpt in zip(
-            chunk.tolist(), Os, symmetric.tolist(), cpt_invariant.tolist()
-        ):
-            row = ConsistencyRow(
-                t=t,
-                symmetric=sym,
-                cpt_invariant=cpt,
-                eta_hermitian=check_observable_hermitian(Ot, metric, tol),
+        eta_hermitian = _eta_gap(Os, metric.eta) <= tol
+        if cpt_metric and not eta_hermitian.all():
+            raise IllConditioned(
+                f"rounding (kappa(eta) = {kappa:.3e}) fails the eta-Hermiticity "
+                f"test at t = {chunk[np.argmin(eta_hermitian)]:.6g}, which the CPT "
+                f"metric passes exactly, at tolerance {tol:.3e}"
             )
-            if cpt_metric and not row.eta_hermitian:
-                raise IllConditioned(
-                    f"rounding (kappa(eta) = {kappa:.3e}) fails the eta-Hermiticity "
-                    f"test at t = {t:.6g}, which the CPT metric passes exactly, "
-                    f"at tolerance {tol:.3e}"
-                )
-            rows.append(row)
+        rows += map(ConsistencyRow, chunk.tolist(), symmetric.tolist(), cpt_invariant.tolist(),
+                    eta_hermitian.tolist())
         # free this chunk's stacks before the next one is evolved
         del dx, Os
     return rows

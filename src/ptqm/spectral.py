@@ -117,13 +117,13 @@ def _operator(nu: float, L: float, N: int):
     return A, h
 
 
-def _solve_grid(nu: float, L: float, N: int, k: int):
-    """(lowest k levels ascending by real part, grid spacing) of one boxed grid,
-    box artifacts filtered out; :class:`NumericalFailure` if fewer survive."""
+def _solve_grid(nu: float, L: float, N: int, k: int, refinement: int):
+    """(lowest k levels ascending by real part, grid spacing) on refinement * N
+    points, box artifacts filtered out; :class:`NumericalFailure` if fewer survive."""
     import scipy.sparse.linalg as spla
 
-    A, h = _operator(nu, L, N)
-    n = N - 2
+    A, h = _operator(nu, L, refinement * N)
+    n = refinement * N - 2
     want = min(k + 4, n - 2) if n > 4 else n
     if n <= max(200, 2 * want + 2):
         w, v = np.linalg.eig(A.toarray())
@@ -142,9 +142,11 @@ def _solve_grid(nu: float, L: float, N: int, k: int):
     leak = (weight[:edge].sum(axis=0) + weight[-edge:].sum(axis=0)) / weight.sum(axis=0)
     w = w[leak < _LEAK_BOUND]
     if len(w) < k:
+        grid = "N" if refinement == 1 else f"{refinement}N"
         raise NumericalFailure(
             f"only {len(w)} of {k} levels at nu = {nu} keep < {_LEAK_BOUND:g} of their weight"
-            f" in the outer 10% of the box (N = {N}, L = {L}): the box is too small"
+            f" in the outer 10% of the box on the {grid} grid (N = {N}, L = {L}):"
+            " the box is too small"
         )
     return w[:k], h
 
@@ -162,9 +164,7 @@ def spectrum(p: SpectralProblem, k: int) -> SpectrumResult:
 
     # Each grid is solved once, 2N first: on the default grid the ascending
     # order N, 2N, 4N raised peak RSS by about 4% through allocator reuse.
-    grid_2n = _solve_grid(p.nu, p.L, 2 * p.N, k)
-    grid_n = _solve_grid(p.nu, p.L, p.N, k)
-    grid_4n = _solve_grid(p.nu, p.L, 4 * p.N, k)
+    grid_2n, grid_n, grid_4n = (_solve_grid(p.nu, p.L, p.N, k, m) for m in (2, 1, 4))
 
     def richardson(coarse, fine):
         (w1, h1), (w2, h2) = coarse, fine

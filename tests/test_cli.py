@@ -278,6 +278,22 @@ class TestCheckNearExceptionalPoint:
         assert code == 0
         assert len(calls) == 1
 
+    def test_eta_checked_once_per_run(self, capsys, monkeypatch):
+        # the public eta test runs only on H, inside the canonical map; the
+        # evolved stacks are tested at once
+        calls = []
+        original = equivalence.check_observable_hermitian
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(equivalence, "check_observable_hermitian", counting)
+        code, _ = run_cli(capsys, ["check"] + MODEL + ["--steps", "2000"])
+        H = two_level.build_H(two_level.TwoLevelParams(1.0, 1.0, np.pi / 6))
+        assert code == 0
+        assert len(calls) == 1 and np.array_equal(calls[0], H)
+
 
 class TestEvolve:
     def test_cpt_norm_conserved_dirac_not(self, capsys):
@@ -369,7 +385,9 @@ class TestSpectrum:
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")
         assert captured.err.startswith(f"error: only 0 of 5 levels at nu = {float(nu)} keep")
-        assert captured.err.endswith("(N = 2000, L = 2.0): the box is too small\n")
+        assert captured.err.endswith(
+            "on the 2N grid (N = 1000, L = 2.0): the box is too small\n"
+        )
 
     def test_converges_near_nu_2(self, capsys):
         # the complex contour keeps the levels bound as nu -> 2

@@ -21,7 +21,7 @@ from ptqm.errors import (
     NumericalFailure,
     PseudoHermiticityViolated,
 )
-from ptqm.linalg import eig, matrix_exponential
+from ptqm.linalg import DEFAULT_TOL, eig, matrix_exponential, relative_gap, time_chunks
 from ptqm.metric import Metric, metric_from_biorthonormal, metric_from_CPT, pt_normalize
 from ptqm.two_level import (
     PARITY,
@@ -319,6 +319,77 @@ class TestConsistencyDemo:
             assert [(r.symmetric, r.cpt_invariant, r.eta_hermitian) for r in rows] == reference
             eta_rows.append({r.eta_hermitian for r in rows})
         assert eta_rows == [{False}, {True}]
+
+    @pytest.mark.parametrize("n", [2, 64, 256])
+    def test_stacked_eta_test_matches_per_time(self, n, rng, monkeypatch):
+        # each evolved stack is tested for eta-self-adjointness at once: its
+        # residuals equal the per-time relative_gap(eta O_t, O_t^dagger eta)
+        # bit for bit, under the CPT metric (every row true) and under a
+        # non-CPT metric (every row false); n = 64 holds 16 times per stack.
+        # At n = 2 the O of pt_symmetric_system commutes with H, so the 2x2
+        # cases are the paper's model and sigma_1 under diag(1, 5)
+        if n == 2:
+            H, C, metric = reference_setup(REFERENCE)
+            I = np.eye(2)
+            cases = [
+                (H, C, PARITY, metric, S_mu(REFERENCE, 2)),
+                (np.diag([1.0, 2.0]), I, I, Metric(np.diag([1.0, 5.0])), SIGMA_1),
+            ]
+        else:
+            H, P, C, metric, O = pt_symmetric_system(n, rng)
+            L = eig(H).left_vectors
+            weighted = Metric((L * np.linspace(1.0, 2.0, n)) @ L.conj().T)
+            cases = [(H, C, P, metric, O), (H, C, P, weighted, O)]
+        times = np.linspace(0.0, 3.0, 3 if n == 256 else 40)
+        stacks = []
+        original = equivalence._eta_gap
+
+        def recording(Os, eta):
+            gaps = original(Os, eta)
+            stacks.append((Os.copy(), eta, gaps))
+            return gaps
+
+        monkeypatch.setattr(equivalence, "_eta_gap", recording)
+        answers = []
+        for H, C, P, metric, O in cases:
+            stacks.clear()
+            rows = consistency_demo(H, C, P, metric, O, times)
+            for Os, eta, gaps in stacks:
+                per_time = [relative_gap(eta @ Ot, Ot.conj().T @ eta) for Ot in Os]
+                assert np.array_equal(gaps, per_time)
+            # the first stack is H alone, tested by the canonical map
+            evolved = stacks[1:]
+            assert [len(Os) for Os, _, _ in evolved] == [len(c) for c in time_chunks(times, n)]
+            flags = [gap <= DEFAULT_TOL for _, _, gaps in evolved for gap in gaps]
+            assert [r.eta_hermitian for r in rows] == flags
+            answers.append(set(flags))
+        assert answers == [{True}, {False}]
+
+    @pytest.mark.parametrize("error, entry, message", [
+        (IllConditioned, 1e-3j, "fails the eta-Hermiticity test at t = 1.46154,"),
+        (InvalidInput, np.nan, r"O_H\(t\) is not finite at t = 1.46154$"),
+    ])
+    def test_refusal_names_first_failing_time_across_stacks(
+        self, rng, monkeypatch, error, entry, message
+    ):
+        # rows 3 and 5 of the second 16-time stack at n = 64 are spoilt
+        # after evolution: the refusal names the t of row 16 + 3
+        H, P, C, metric, O = pt_symmetric_system(64, rng)
+        times = np.linspace(0.0, 3.0, 40)
+        evolve = equivalence.heisenberg_evolve
+        calls = []
+
+        def spoiling(h, o, chunk):
+            out = evolve(h, o, chunk)
+            calls.append(None)
+            if len(calls) == 2:
+                out[[3, 5]] += entry * np.eye(64)
+            return out
+
+        monkeypatch.setattr(equivalence, "heisenberg_evolve", spoiling)
+        with pytest.raises(error, match=message):
+            consistency_demo(H, C, P, metric, O, times)
+        assert f"{times[19]:.6g}" == "1.46154"
 
     @pytest.mark.parametrize("eps", [0.2, 1, 2, 3, 4, 5])
     @pytest.mark.parametrize("n", [4, 8, 32])

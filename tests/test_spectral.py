@@ -57,7 +57,7 @@ def quartic_oracle_levels(k, L=5.0, N=2000):
 
 def richardson_grid_levels(nu, L, N, k):
     """The private grid solver on N and 2N points, Richardson-extrapolated."""
-    (w1, h1), (w2, h2) = (spectral._solve_grid(nu, L, n, k) for n in (N, 2 * N))
+    (w1, h1), (w2, h2) = (spectral._solve_grid(nu, L, N, k, m) for m in (1, 2))
     rho = (h1 / h2) ** 2
     return (rho * w2 - w1) / (rho - 1.0)
 
@@ -153,9 +153,9 @@ class TestSpectrum:
         sizes = []
         solve = spectral._solve_grid
 
-        def counting(nu, L, N, k):
-            sizes.append(N)
-            return solve(nu, L, N, k)
+        def counting(nu, L, N, k, refinement):
+            sizes.append(refinement * N)
+            return solve(nu, L, N, k, refinement)
 
         monkeypatch.setattr(spectral, "_solve_grid", counting)
         spectrum(SpectralProblem(1.0, L=8.0, N=300), 2)
@@ -209,7 +209,7 @@ class TestBoxTooSmall:
     grid refinement at fixed L cannot see the wall's shift of the levels."""
 
     MESSAGE = (r"only \d of 5 levels at nu = {nu} keep < 1e-10 of their weight .*"
-               r" \(N = 2000, L = {L}\)")
+               r" on the 2N grid \(N = 1000, L = {L}\)")
 
     def test_accepted_levels_agree_with_default_box(self):
         refused = {}
