@@ -158,7 +158,7 @@ def _evolve_doc(args) -> str:
 
 def _spectrum_doc(args) -> str:
     problem = spectral.SpectralProblem(nu=args.nu, L=args.L, N=args.N)
-    result = spectral.converged_spectrum(problem, args.k)
+    result = spectral.spectrum(problem, args.k)
     doc = {
         "command": "spectrum",
         "nu": args.nu,

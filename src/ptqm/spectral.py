@@ -20,7 +20,8 @@ the similar matrix D^{-1/2} K D^{-1/2}: complex symmetric (not Hermitian)
 and tridiagonal, and at nu = 0 the real-axis matrix.  The solver runs the
 base grid and two dyadic refinements, pairs the surviving levels, and
 reports Richardson-extrapolated eigenvalues (the h^2 error term of the
-central-difference stencil is eliminated).
+central-difference stencil is eliminated).  Every grid is solved the same
+way, by ARPACK shift-invert about 0 for the k + 4 levels nearest it.
 
 At the default L = 8, N = 1000 the five lowest levels are within 1.3e-8 of
 the exact 1, 3, ..., 9 at nu = 0 (ground state 6.4e-11) and within 1.2e-8
@@ -29,7 +30,10 @@ of a fine-grid solution at nu = 1.  At nu = 2, outside the regime of
 p^2 + 4 x^4 - 2 x to 1e-7.
 
 Eigenvectors with more than 1e-10 of their norm in the outer 10% of the
-box are box artifacts; a grid with fewer than k levels left is refused.
+box are box artifacts.  :func:`spectrum` returns k converged levels or a
+typed refusal: ``InvalidParams`` for k > N - 8, where ARPACK has no room
+on the N grid, and ``NumericalFailure`` for an operator that overflows, a
+grid with fewer than k levels left, or a level that does not converge.
 
 Importing this module loads numpy only: the first grid assembly imports
 ``scipy.sparse``, and the first grid solve ``scipy.sparse.linalg``, once
@@ -80,14 +84,14 @@ class SpectralProblem:
 
 @dataclass(frozen=True)
 class SpectrumResult:
+    """k levels that converged under grid refinement: :func:`spectrum`
+    refuses any other.  ``converged`` is therefore always true; it stays
+    because ``schemas/output.schema.json`` requires it in the ``spectrum``
+    JSON, and readers of that JSON test it."""
+
     eigenvalues: np.ndarray  # sorted ascending by real part
     max_imag: float
-    #: indices of the levels that did not converge under grid refinement
-    unconverged: tuple
-
-    @property
-    def converged(self) -> bool:
-        return not self.unconverged
+    converged = True
 
 
 def _potential(x: np.ndarray, nu: float) -> np.ndarray:
@@ -98,7 +102,8 @@ def _potential(x: np.ndarray, nu: float) -> np.ndarray:
 
 def _operator(nu: float, L: float, N: int):
     """(N-2) x (N-2) sparse complex symmetric matrix of the operator on the
-    contour, and the grid spacing in t."""
+    contour, and the grid spacing in t; :class:`NumericalFailure` if an
+    entry overflows (1/h^2 for a tiny box, V(x(+-L)) for a huge one)."""
     import scipy.sparse as sp
 
     h = 2.0 * L / (N - 1)
@@ -107,12 +112,18 @@ def _operator(nu: float, L: float, N: int):
     def dx(t):  # x'(t)
         return 1.0 - 1j * a * t / np.sqrt(1.0 + t * t)
 
-    t = np.linspace(-L, L, N)
-    w = 1.0 / dx(0.5 * (t[:-1] + t[1:]))  # 1/x' at the N - 1 half-steps
-    t = t[1:-1]
-    d = dx(t)
-    off = -w[1:-1] / (h * h * np.sqrt(d[:-1] * d[1:]))
-    diag = (w[:-1] + w[1:]) / (h * h * d) + _potential(t - 1j * a * np.sqrt(1.0 + t * t), nu)
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        t = np.linspace(-L, L, N)
+        w = 1.0 / dx(0.5 * (t[:-1] + t[1:]))  # 1/x' at the N - 1 half-steps
+        t = t[1:-1]
+        d = dx(t)
+        off = -w[1:-1] / (h * h * np.sqrt(d[:-1] * d[1:]))
+        diag = (w[:-1] + w[1:]) / (h * h * d) + _potential(t - 1j * a * np.sqrt(1.0 + t * t), nu)
+    if not (np.isfinite(off).all() and np.isfinite(diag).all()):
+        raise NumericalFailure(
+            f"the operator on {N} grid points overflows double precision at L = {L}:"
+            " 1/h^2 or the potential at the walls is too large"
+        )
     A = sp.diags([off, diag, off], [-1, 0, 1], format="csc", dtype=complex)
     return A, h
 
@@ -124,17 +135,12 @@ def _solve_grid(nu: float, L: float, N: int, k: int, refinement: int):
 
     A, h = _operator(nu, L, refinement * N)
     n = refinement * N - 2
-    want = min(k + 4, n - 2) if n > 4 else n
-    if n <= max(200, 2 * want + 2):
-        w, v = np.linalg.eig(A.toarray())
-    else:
-        try:
-            # fixed start vector: ARPACK's default is random, which would
-            # make repeated runs differ in the last few bits
-            v0 = np.ones(n) / np.sqrt(n)
-            w, v = spla.eigs(A, k=want, sigma=0.0, v0=v0)
-        except spla.ArpackNoConvergence as exc:
-            raise NumericalFailure(f"eigensolver failed to converge: {exc}") from exc
+    try:
+        # fixed start vector: ARPACK's default is random, which would
+        # make repeated runs differ in the last few bits
+        w, v = spla.eigs(A, k=k + 4, sigma=0.0, v0=np.ones(n) / np.sqrt(n))
+    except spla.ArpackNoConvergence as exc:
+        raise NumericalFailure(f"eigensolver failed to converge: {exc}") from exc
     order = np.argsort(w.real)
     w, v = w[order], v[:, order]
     edge = max(1, int(_EDGE_FRACTION * n))
@@ -152,15 +158,18 @@ def _solve_grid(nu: float, L: float, N: int, k: int, refinement: int):
 
 
 def spectrum(p: SpectralProblem, k: int) -> SpectrumResult:
-    """Lowest k levels by real part, Richardson-extrapolated.
+    """Lowest k levels by real part, Richardson-extrapolated, all converged.
 
     Three grids are solved (N, 2N, 4N at fixed L).  The reported levels
-    extrapolate the (N, 2N) pair.  A level is unconverged unless the (2N, 4N)
-    extrapolation agrees with it to better than 1e-6 in the real part.  A grid
-    keeping fewer than k levels past the box-artifact filter raises.
+    extrapolate the (N, 2N) pair.  :class:`InvalidParams` unless
+    1 <= k <= N - 8: ARPACK finds k + 4 levels on the N grid and needs
+    k + 4 < N - 3.  :class:`NumericalFailure` if a grid's operator overflows
+    or keeps fewer than k levels past the box-artifact filter, or naming each
+    level that the (2N, 4N) extrapolation moves by 1e-6 or more in the real
+    part.
     """
-    if k < 1 or k > p.N - 2:
-        raise InvalidParams(f"k must be in 1..{p.N - 2}")
+    if not 1 <= k <= p.N - 8:
+        raise InvalidParams(f"k = {k} levels need 1 <= k <= N - 8, got N = {p.N}")
 
     # Each grid is solved once, 2N first: on the default grid the ascending
     # order N, 2N, 4N raised peak RSS by about 4% through allocator reuse.
@@ -173,21 +182,11 @@ def spectrum(p: SpectralProblem, k: int) -> SpectrumResult:
 
     levels = richardson(grid_n, grid_2n)
     gap = np.abs(levels.real - richardson(grid_2n, grid_4n).real)
-    return SpectrumResult(
-        eigenvalues=levels,
-        max_imag=float(np.abs(levels.imag).max()),
-        unconverged=tuple(i for i in range(k) if not gap[i] < _CONVERGENCE_ABS),
-    )
-
-
-def converged_spectrum(p: SpectralProblem, k: int) -> SpectrumResult:
-    """:func:`spectrum`, raising :class:`NumericalFailure` that names the
-    levels which did not converge under grid refinement."""
-    res = spectrum(p, k)
-    if not res.converged:
-        named = ", ".join(f"{i} ({res.eigenvalues[i]:.6g})" for i in res.unconverged)
+    drifting = [i for i in range(k) if not gap[i] < _CONVERGENCE_ABS]
+    if drifting:
+        named = ", ".join(f"{i} ({levels[i]:.6g})" for i in drifting)
         raise NumericalFailure(
             f"levels {named} at nu = {p.nu} did not converge under grid "
             f"refinement (L = {p.L}, N = {p.N})"
         )
-    return res
+    return SpectrumResult(eigenvalues=levels, max_imag=float(np.abs(levels.imag).max()))

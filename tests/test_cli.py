@@ -389,6 +389,16 @@ class TestSpectrum:
             "on the 2N grid (N = 1000, L = 2.0): the box is too small\n"
         )
 
+    @pytest.mark.parametrize("L", ["1e-200", "1e160", "1e200"])
+    def test_overflowing_box_exit_3(self, capsys, L):
+        # 1/h^2 (tiny box) or V(x(+-L)) (huge box) is not finite
+        code = main(["spectrum", "--nu", "0", "--L", L])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: the operator on 2000 grid points overflows")
+        assert f"at L = {float(L)}:" in captured.err
+
     def test_converges_near_nu_2(self, capsys):
         # the complex contour keeps the levels bound as nu -> 2
         code, out = run_cli(capsys, ["spectrum", "--nu", "1.99", "--k", "5"])

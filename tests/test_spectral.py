@@ -4,7 +4,7 @@ import scipy.linalg
 
 from ptqm import spectral
 from ptqm.errors import InvalidParams, NumericalFailure, OutOfRegime
-from ptqm.spectral import SpectralProblem, converged_spectrum, spectrum
+from ptqm.spectral import SpectralProblem, spectrum
 
 # Ground-state energy for nu = 1 from an independent sine-basis Galerkin
 # computation (250 modes on [-12, 12], trapezoid quadrature), converged to
@@ -79,6 +79,11 @@ class TestProblemValidation:
         p = SpectralProblem(0.0, N=400)
         with pytest.raises(InvalidParams):
             spectrum(p, 0)
+        # ARPACK finds k + 4 levels on the N grid and needs k + 4 < N - 3
+        for k in range(1, 11):
+            for N in range(k + 2, k + 8):
+                with pytest.raises(InvalidParams, match=rf"^k = {k} .* N = {N}$"):
+                    spectrum(SpectralProblem(1.0, N=N), k)
 
 
 class TestPotential:
@@ -136,18 +141,46 @@ class TestSpectrum:
     def test_reality_holds_in_regime(self):
         # real, positive and separated, from levels converged under refinement
         for nu in (0.5, 1.0):
-            res = converged_spectrum(SpectralProblem(nu, L=12.0, N=1200), 4)
+            res = spectrum(SpectralProblem(nu, L=12.0, N=1200), 4)
             assert res.max_imag < 1e-6
             assert res.eigenvalues.real.min() > 0.0
             assert np.diff(res.eigenvalues.real).min() > 1e-6
 
     def test_reality_refused_when_unconverged(self):
         # too coarse to converge, although the levels look real
-        p = SpectralProblem(1.0, L=12.0, N=100)
-        res = spectrum(p, 3)
-        assert not res.converged and res.max_imag < 1e-6
+        levels, _ = spectral._solve_grid(1.0, 12.0, 100, 3, 1)
+        assert np.abs(levels.imag).max() < 1e-6
         with pytest.raises(NumericalFailure, match="did not converge"):
-            converged_spectrum(p, 3)
+            spectrum(SpectralProblem(1.0, L=12.0, N=100), 3)
+
+    def test_one_solver_on_a_small_grid(self, monkeypatch):
+        # ARPACK shift-invert on every grid; a dense eig of the same
+        # operator, box artifacts filtered alike, is the oracle
+        import scipy.sparse.linalg as spla
+
+        calls = []
+
+        def counting(name, solve):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return solve(*args, **kwargs)
+            return wrapper
+
+        nu, L, N, k = 1.0, 8.0, 100, 3
+        monkeypatch.setattr(spla, "eigs", counting("eigs", spla.eigs))
+        monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
+        levels, _ = spectral._solve_grid(nu, L, N, k, 1)
+        assert calls == ["eigs"]
+        monkeypatch.undo()
+
+        w, v = np.linalg.eig(spectral._operator(nu, L, N)[0].toarray())
+        order = np.argsort(w.real)
+        w, v = w[order], v[:, order]
+        edge = max(1, int(spectral._EDGE_FRACTION * (N - 2)))
+        weight = abs(v) ** 2
+        leak = (weight[:edge].sum(axis=0) + weight[-edge:].sum(axis=0)) / weight.sum(axis=0)
+        oracle = w[leak < spectral._LEAK_BOUND][:k]
+        np.testing.assert_allclose(levels, oracle, rtol=0, atol=1e-10)
 
     def test_each_grid_solved_once(self, monkeypatch):
         sizes = []
@@ -194,7 +227,7 @@ class TestContour:
         ground = {}
         for nu in list(np.linspace(0.0, 1.9, 18)) + [1.99, 1.9999]:
             try:
-                res = spectral.converged_spectrum(SpectralProblem(nu), 5)
+                res = spectrum(SpectralProblem(nu), 5)
             except NumericalFailure:
                 continue
             assert res.max_imag < 1e-9, nu
@@ -214,7 +247,7 @@ class TestBoxTooSmall:
     def test_accepted_levels_agree_with_default_box(self):
         refused = {}
         for nu in (0.0, 0.5, 1.0, 1.7):
-            reference = converged_spectrum(SpectralProblem(nu), 5).eigenvalues
+            reference = spectrum(SpectralProblem(nu), 5).eigenvalues
             for L in (2.0, 3.0, 4.0, 5.0, 6.0):
                 try:
                     res = spectrum(SpectralProblem(nu, L=L), 5)
@@ -223,9 +256,8 @@ class TestBoxTooSmall:
                     refused[nu, L] = True
                     continue
                 refused[nu, L] = False
-                kept = [i for i in range(5) if i not in res.unconverged]
                 np.testing.assert_allclose(
-                    res.eigenvalues[kept], reference[kept], rtol=0, atol=1e-6,
+                    res.eigenvalues, reference, rtol=0, atol=1e-6,
                     err_msg=f"nu = {nu}, L = {L}",
                 )
         # every nu is refused at L = 2 and a wider box never turns a level bad
