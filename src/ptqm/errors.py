@@ -53,7 +53,8 @@ class SelfOrthogonalEigenvector(NumericalFailure):
 
 class IllConditioned(NumericalFailure):
     """Rounding, amplified by the metric's condition number, fails a test
-    that holds exactly, or is as large as the residual a test must judge."""
+    that holds exactly, or is as large as the residual a test must judge;
+    or a positive metric's condition number exceeds 1/tol."""
 
 
 class MetricNotPositive(NumericalFailure):

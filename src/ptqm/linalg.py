@@ -19,7 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInput, InvalidMetric, NonDiagonalizable
+from .errors import (
+    DimensionMismatch,
+    IllConditioned,
+    InvalidInput,
+    InvalidMetric,
+    NonDiagonalizable,
+)
 
 DEFAULT_TOL = 1e-10
 
@@ -166,7 +172,10 @@ class Metric:
     """Hermitian positive-definite matrix of a physical inner product,
     validated once, when built, at tolerance ``tol``; ``eigenvalues`` are
     the ascending eigenvalues the validation computed and the columns of
-    ``eigenvectors`` their orthonormal eigenvectors."""
+    ``eigenvectors`` their orthonormal eigenvectors.  A smallest eigenvalue
+    at or below n eps max|w| is non-positive (:class:`InvalidMetric`); one
+    above it but at or below tol max|w| has kappa past 1/tol
+    (:class:`IllConditioned`)."""
 
     eta: np.ndarray
     tol: float = DEFAULT_TOL
@@ -178,7 +187,13 @@ class Metric:
         if not relative_gap(eta, eta.conj().T) <= self.tol:
             raise InvalidMetric("metric is not Hermitian")
         w, Q = np.linalg.eigh(eta)
-        if not w.min() > self.tol * abs(w).max():
+        top = abs(w).max()
+        if not w.min() > self.tol * top:
+            if w.min() > len(w) * np.finfo(float).eps * top:
+                raise IllConditioned(
+                    f"metric is positive but ill-conditioned: kappa = {top / w.min():.3e}"
+                    f" exceeds 1/tol = {1 / self.tol:.3e}"
+                )
             raise InvalidMetric(f"metric has non-positive eigenvalue {w.min():.3e}")
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "eigenvalues", w)

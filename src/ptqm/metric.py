@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     ComplexSpectrum,
     DimensionMismatch,
+    IllConditioned,
     InvalidMetric,
     MetricNotPositive,
     NotPTSymmetric,
@@ -120,12 +121,15 @@ def build_C(Phi) -> np.ndarray:
 
 def _constructed_metric(eta, tol: float, source: str) -> Metric:
     """``Metric(eta, tol)`` for an eta built from H: a failed validation is
-    a breakdown of the construction, raised as :class:`MetricNotPositive`
-    with ``source`` prefixed to the message."""
+    a breakdown of the construction, raised as :class:`MetricNotPositive`,
+    or as :class:`IllConditioned` for a positive eta past 1/tol, with
+    ``source`` prefixed to the message."""
     try:
         return Metric(eta, tol)
     except InvalidMetric as exc:
         raise MetricNotPositive(f"{source} {exc}") from exc
+    except IllConditioned as exc:
+        raise IllConditioned(f"{source} {exc}") from exc
 
 
 def metric_from_CPT(C, P, tol: float = DEFAULT_TOL) -> Metric:
@@ -133,7 +137,8 @@ def metric_from_CPT(C, P, tol: float = DEFAULT_TOL) -> Metric:
 
     Raises :class:`MetricNotPositive` when the candidate fails Hermiticity
     or positivity at ``tol``, which signals a broken PT phase or a
-    sign-convention error upstream.
+    sign-convention error upstream, and :class:`IllConditioned` when it is
+    positive with a condition number past 1/tol.
     """
     Cm = as_square_matrix(C, "charge conjugation")
     Pm = as_square_matrix(P, "parity", len(Cm))
@@ -159,7 +164,8 @@ def metric_from_biorthonormal(es: EigenSystem, tol: float = DEFAULT_TOL) -> Metr
     Requires a real spectrum; eta_b then intertwines the source matrix
     with its adjoint, eta_b H = H^dagger eta_b.  eta_b = L L^dagger is
     positive by construction, so a failed positivity test at ``tol`` (a
-    near-singular eigenvector matrix) raises :class:`MetricNotPositive`.
+    near-singular eigenvector matrix) raises :class:`IllConditioned`, or
+    :class:`MetricNotPositive` for an eigenvalue within its rounding.
     """
     w = es.eigenvalues
     if not np.abs(w.imag).max() <= tol * np.abs(w).max():

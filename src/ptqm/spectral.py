@@ -29,11 +29,14 @@ of a fine-grid solution at nu = 1.  At nu = 2, outside the regime of
 :class:`SpectralProblem`, the grid solver matches the Hermitian
 p^2 + 4 x^4 - 2 x to 1e-7.
 
-Eigenvectors with more than 1e-10 of their norm in the outer 10% of the
-box are box artifacts.  :func:`spectrum` returns k converged levels or a
-typed refusal: ``InvalidParams`` for k > N - 8, where ARPACK has no room
-on the N grid, and ``NumericalFailure`` for an operator that overflows, a
-grid with fewer than k levels left, or a level that does not converge.
+Each level has one error budget: its refinement gap plus the shift that
+the Dirichlet walls put on it.  A wall raises a level by about
+psi_x^2 / (2 kappa int psi^2 dx), Hadamard's formula integrated over the
+decaying tail, with kappa = sqrt(V - E), Re kappa >= 0, and no conjugation,
+as the operator is complex symmetric.  :func:`spectrum` returns k levels
+within budget or a typed refusal: ``InvalidParams`` for k > N - 8, where
+ARPACK has no room on the N grid, and ``NumericalFailure`` for an operator
+that overflows or a level over budget.
 
 Importing this module loads numpy only: the first grid assembly imports
 ``scipy.sparse``, and the first grid solve ``scipy.sparse.linalg``, once
@@ -52,12 +55,7 @@ from .errors import InvalidParams, NumericalFailure, OutOfRegime
 DEFAULT_L = 8.0
 DEFAULT_N = 1000
 
-#: Largest share of a level's weight in the outer 10% of the box.  The wall
-#: shifts a level by up to ~300 times that share (2.4e-4 at 8.1e-7 for nu = 1.99,
-#: L = 2.5, k = 5), so 1e-10 keeps it far inside the 1e-6 convergence test; on the
-#: default box the share is <= 1.1e-17 for k = 5 and 5.1e-12 for nu = 0, k = 10.
-_LEAK_BOUND = 1e-10
-_EDGE_FRACTION = 0.05  # per side; outer 10% of the box in total
+#: Largest refinement gap plus wall shift of a reported level.
 _CONVERGENCE_ABS = 1e-6
 
 
@@ -84,10 +82,10 @@ class SpectralProblem:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """k levels that converged under grid refinement: :func:`spectrum`
-    refuses any other.  ``converged`` is therefore always true; it stays
-    because ``schemas/output.schema.json`` requires it in the ``spectrum``
-    JSON, and readers of that JSON test it."""
+    """k levels within their error budget: :func:`spectrum` refuses any
+    other.  ``converged`` is therefore always true; it stays because
+    ``schemas/output.schema.json`` requires it in the ``spectrum`` JSON, and
+    readers of that JSON test it."""
 
     eigenvalues: np.ndarray  # sorted ascending by real part
     max_imag: float
@@ -102,8 +100,9 @@ def _potential(x: np.ndarray, nu: float) -> np.ndarray:
 
 def _operator(nu: float, L: float, N: int):
     """(N-2) x (N-2) sparse complex symmetric matrix of the operator on the
-    contour, and the grid spacing in t; :class:`NumericalFailure` if an
-    entry overflows (1/h^2 for a tiny box, V(x(+-L)) for a huge one)."""
+    contour, grid spacing in t, and x' at the outer interior points, x'(+-L)
+    and V(x(+-L)), each at both ends; :class:`NumericalFailure` if an entry
+    overflows (1/h^2 for a tiny box, V(x(+-L)) for a huge one)."""
     import scipy.sparse as sp
 
     h = 2.0 * L / (N - 1)
@@ -115,6 +114,8 @@ def _operator(nu: float, L: float, N: int):
     with np.errstate(all="ignore"):  # an overflow is refused below
         t = np.linspace(-L, L, N)
         w = 1.0 / dx(0.5 * (t[:-1] + t[1:]))  # 1/x' at the N - 1 half-steps
+        ends = t[[0, -1]]
+        wall_V = _potential(ends - 1j * a * np.sqrt(1.0 + ends * ends), nu)
         t = t[1:-1]
         d = dx(t)
         off = -w[1:-1] / (h * h * np.sqrt(d[:-1] * d[1:]))
@@ -125,15 +126,15 @@ def _operator(nu: float, L: float, N: int):
             " 1/h^2 or the potential at the walls is too large"
         )
     A = sp.diags([off, diag, off], [-1, 0, 1], format="csc", dtype=complex)
-    return A, h
+    return A, h, d[[0, -1]], dx(ends), wall_V
 
 
 def _solve_grid(nu: float, L: float, N: int, k: int, refinement: int):
-    """(lowest k levels ascending by real part, grid spacing) on refinement * N
-    points, box artifacts filtered out; :class:`NumericalFailure` if fewer survive."""
+    """(lowest k levels ascending by real part, the wall shift of each, NaN
+    or inf where its estimate breaks down, grid spacing) on refinement * N points."""
     import scipy.sparse.linalg as spla
 
-    A, h = _operator(nu, L, refinement * N)
+    A, h, d, dx, V = _operator(nu, L, refinement * N)
     n = refinement * N - 2
     try:
         # fixed start vector: ARPACK's default is random, which would
@@ -141,32 +142,27 @@ def _solve_grid(nu: float, L: float, N: int, k: int, refinement: int):
         w, v = spla.eigs(A, k=k + 4, sigma=0.0, v0=np.ones(n) / np.sqrt(n))
     except spla.ArpackNoConvergence as exc:
         raise NumericalFailure(f"eigensolver failed to converge: {exc}") from exc
-    order = np.argsort(w.real)
+    order = np.argsort(w.real)[:k]
     w, v = w[order], v[:, order]
-    edge = max(1, int(_EDGE_FRACTION * n))
-    weight = abs(v) ** 2
-    leak = (weight[:edge].sum(axis=0) + weight[-edge:].sum(axis=0)) / weight.sum(axis=0)
-    w = w[leak < _LEAK_BOUND]
-    if len(w) < k:
-        grid = "N" if refinement == 1 else f"{refinement}N"
-        raise NumericalFailure(
-            f"only {len(w)} of {k} levels at nu = {nu} keep < {_LEAK_BOUND:g} of their weight"
-            f" in the outer 10% of the box on the {grid} grid (N = {N}, L = {L}):"
-            " the box is too small"
-        )
-    return w[:k], h
+    # psi = v / sqrt(x'), psi_x = psi_end / (h x'(+-L)) and int psi^2 dx = h sum v^2
+    with np.errstate(all="ignore"):
+        slope2 = v[[0, -1]] ** 2 / (d * (h * dx) ** 2)[:, None]
+        walls = slope2 / (2.0 * np.sqrt(V[:, None] - w))
+        shift = np.abs(walls.sum(axis=0) / (h * (v * v).sum(axis=0)))
+    return w, shift, h
 
 
 def spectrum(p: SpectralProblem, k: int) -> SpectrumResult:
-    """Lowest k levels by real part, Richardson-extrapolated, all converged.
+    """Lowest k levels by real part, Richardson-extrapolated, each within
+    its error budget.
 
     Three grids are solved (N, 2N, 4N at fixed L).  The reported levels
     extrapolate the (N, 2N) pair.  :class:`InvalidParams` unless
     1 <= k <= N - 8: ARPACK finds k + 4 levels on the N grid and needs
-    k + 4 < N - 3.  :class:`NumericalFailure` if a grid's operator overflows
-    or keeps fewer than k levels past the box-artifact filter, or naming each
-    level that the (2N, 4N) extrapolation moves by 1e-6 or more in the real
-    part.
+    k + 4 < N - 3.  :class:`NumericalFailure` if a grid's operator
+    overflows, or naming each level whose (2N, 4N) extrapolation moves the
+    real part by d, with d plus its largest wall shift over the grids 1e-6
+    or more; "the box is too small" where the wall shift exceeds d.
     """
     if not 1 <= k <= p.N - 8:
         raise InvalidParams(f"k = {k} levels need 1 <= k <= N - 8, got N = {p.N}")
@@ -176,17 +172,20 @@ def spectrum(p: SpectralProblem, k: int) -> SpectrumResult:
     grid_2n, grid_n, grid_4n = (_solve_grid(p.nu, p.L, p.N, k, m) for m in (2, 1, 4))
 
     def richardson(coarse, fine):
-        (w1, h1), (w2, h2) = coarse, fine
+        (w1, _, h1), (w2, _, h2) = coarse, fine
         rho = (h1 / h2) ** 2
         return (rho * w2 - w1) / (rho - 1.0)
 
     levels = richardson(grid_n, grid_2n)
     gap = np.abs(levels.real - richardson(grid_2n, grid_4n).real)
-    drifting = [i for i in range(k) if not gap[i] < _CONVERGENCE_ABS]
-    if drifting:
-        named = ", ".join(f"{i} ({levels[i]:.6g})" for i in drifting)
-        raise NumericalFailure(
-            f"levels {named} at nu = {p.nu} did not converge under grid "
-            f"refinement (L = {p.L}, N = {p.N})"
-        )
+    shift = np.max([grid[1] for grid in (grid_n, grid_2n, grid_4n)], axis=0)
+    over = [i for i in range(k) if not gap[i] + shift[i] < _CONVERGENCE_ABS]
+    if over:
+        named = ", ".join(f"{i} ({levels[i]:.6g}: wall shift {shift[i]:.1e}, refinement"
+                          f" gap {gap[i]:.1e})" for i in over)
+        box = f"(L = {p.L}, N = {p.N})"
+        cause = (f"are shifted by the walls {box}: the box is too small"
+                 if any(not shift[i] <= gap[i] for i in over)
+                 else f"did not converge under grid refinement {box}")
+        raise NumericalFailure(f"levels {named} at nu = {p.nu} {cause}")
     return SpectrumResult(eigenvalues=levels, max_imag=float(np.abs(levels.imag).max()))

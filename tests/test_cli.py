@@ -384,9 +384,11 @@ class TestSpectrum:
         code = main(["spectrum", "--nu", nu, "--k", "5", "--L", "2"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")
-        assert captured.err.startswith(f"error: only 0 of 5 levels at nu = {float(nu)} keep")
+        assert captured.err.startswith("error: levels 0 (")
+        assert captured.err.count("wall shift") == 5
         assert captured.err.endswith(
-            "on the 2N grid (N = 1000, L = 2.0): the box is too small\n"
+            f"at nu = {float(nu)} are shifted by the walls (L = 2.0, N = 1000):"
+            " the box is too small\n"
         )
 
     @pytest.mark.parametrize("L", ["1e-200", "1e160", "1e200"])

@@ -11,7 +11,7 @@ from pathlib import Path
 import cli_sweep
 
 CODES = {0: 643, 2: 173, 3: 84}
-DIGEST = "fdbd976f52eea7727f1f64301be9ecd7fb7559f650f5ea5191bc5b6eebe883c2"
+DIGEST = "c9a1edfb50c1c6c6708460f6e90d2baaddffb46233e90f23616ff1905d092b5c"
 
 
 def test_sweep_is_byte_identical():

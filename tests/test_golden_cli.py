@@ -3,9 +3,10 @@
 Each file in ``tests/golden/`` holds the argv of one command with its
 exit code, standard output and standard error.  ``spectrum`` levels are
 left out: their last digits depend on the BLAS thread count.  Its two
-refusals are pinned, since neither prints a computed float: nu out of
-regime, and a box too small for k levels, whose message gives the number
-of surviving levels, N and L.
+refusals are pinned: nu out of regime, and a box too small for k levels
+at nu = 0, whose message gives each level to six digits, its wall shift
+and refinement gap to two, L and N, which read the same under one and two
+BLAS threads.
 
 Re-record after an intended output change with
 

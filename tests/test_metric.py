@@ -7,6 +7,7 @@ from ptqm.equivalence import build_equivalence_pt
 from ptqm.errors import (
     ComplexSpectrum,
     DimensionMismatch,
+    IllConditioned,
     InvalidMetric,
     MetricNotPositive,
     NotPTSymmetric,
@@ -367,14 +368,22 @@ class TestMetricScale:
 
     @pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
     def test_nearly_singular_rejected(self, c):
-        with pytest.raises(InvalidMetric, match="non-positive eigenvalue"):
+        # positive, but kappa = 1e11 exceeds 1/tol
+        match = r"kappa = 1\.000e\+11 exceeds 1/tol = 1\.000e\+10$"
+        with pytest.raises(IllConditioned, match=match):
             Metric(c * np.diag([1.0, 1e-11]))
+
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+    def test_singular_rejected_as_non_positive(self, c):
+        with pytest.raises(InvalidMetric, match="non-positive eigenvalue 0.000e"):
+            Metric(c * np.diag([1.0, 0.0]))
 
 
 class TestCallerTolerance:
     """Positivity is decided once, at the tolerance of the building call."""
 
-    # eigenvalue ratio 1e-11: positive at tol = 1e-12, not at tol = 1e-10
+    # eigenvalue ratio 1e-11: accepted at tol = 1e-12; at tol = 1e-10 still
+    # positive, but with kappa = 1e11 past 1/tol
     THIN = np.diag([1.0, 1e-11])
 
     def test_metric_from_CPT(self):
@@ -382,7 +391,8 @@ class TestCallerTolerance:
         np.testing.assert_array_equal(metric.eta, self.THIN)
         assert metric.tol == 1e-12
         with pytest.raises(
-            MetricNotPositive, match="^CPT metric has non-positive eigenvalue 1.000e-11$"
+            IllConditioned,
+            match=r"^CPT metric is positive but ill-conditioned: kappa = 1\.000e\+11 exceeds",
         ):
             metric_from_CPT(self.THIN, np.eye(2), tol=1e-10)
 
@@ -397,14 +407,14 @@ class TestCallerTolerance:
             metric_from_biorthonormal(es, tol=1e-12).eta, self.THIN, rtol=1e-15
         )
         with pytest.raises(
-            MetricNotPositive,
-            match="^biorthonormal metric has non-positive eigenvalue 1.000e-11$",
+            IllConditioned,
+            match=r"^biorthonormal metric is positive but ill-conditioned: kappa = 1\.000e\+11",
         ):
             metric_from_biorthonormal(es, tol=1e-10)
 
     def test_metric_defaults_to_default_tol(self):
         assert Metric(self.THIN, 1e-12).dim == 2
-        with pytest.raises(InvalidMetric):
+        with pytest.raises(IllConditioned, match=r"kappa = 1\.000e\+11"):
             Metric(self.THIN)
 
 

@@ -57,7 +57,7 @@ def quartic_oracle_levels(k, L=5.0, N=2000):
 
 def richardson_grid_levels(nu, L, N, k):
     """The private grid solver on N and 2N points, Richardson-extrapolated."""
-    (w1, h1), (w2, h2) = (spectral._solve_grid(nu, L, N, k, m) for m in (1, 2))
+    (w1, _, h1), (w2, _, h2) = (spectral._solve_grid(nu, L, N, k, m) for m in (1, 2))
     rho = (h1 / h2) ** 2
     return (rho * w2 - w1) / (rho - 1.0)
 
@@ -148,14 +148,14 @@ class TestSpectrum:
 
     def test_reality_refused_when_unconverged(self):
         # too coarse to converge, although the levels look real
-        levels, _ = spectral._solve_grid(1.0, 12.0, 100, 3, 1)
+        levels, _, _ = spectral._solve_grid(1.0, 12.0, 100, 3, 1)
         assert np.abs(levels.imag).max() < 1e-6
         with pytest.raises(NumericalFailure, match="did not converge"):
             spectrum(SpectralProblem(1.0, L=12.0, N=100), 3)
 
     def test_one_solver_on_a_small_grid(self, monkeypatch):
-        # ARPACK shift-invert on every grid; a dense eig of the same
-        # operator, box artifacts filtered alike, is the oracle
+        # ARPACK shift-invert on every grid; the lowest k levels of a dense
+        # eig of the same operator are the oracle
         import scipy.sparse.linalg as spla
 
         calls = []
@@ -169,17 +169,12 @@ class TestSpectrum:
         nu, L, N, k = 1.0, 8.0, 100, 3
         monkeypatch.setattr(spla, "eigs", counting("eigs", spla.eigs))
         monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
-        levels, _ = spectral._solve_grid(nu, L, N, k, 1)
+        levels, _, _ = spectral._solve_grid(nu, L, N, k, 1)
         assert calls == ["eigs"]
         monkeypatch.undo()
 
-        w, v = np.linalg.eig(spectral._operator(nu, L, N)[0].toarray())
-        order = np.argsort(w.real)
-        w, v = w[order], v[:, order]
-        edge = max(1, int(spectral._EDGE_FRACTION * (N - 2)))
-        weight = abs(v) ** 2
-        leak = (weight[:edge].sum(axis=0) + weight[-edge:].sum(axis=0)) / weight.sum(axis=0)
-        oracle = w[leak < spectral._LEAK_BOUND][:k]
+        w = np.linalg.eigvals(spectral._operator(nu, L, N)[0].toarray())
+        oracle = w[np.argsort(w.real)][:k]
         np.testing.assert_allclose(levels, oracle, rtol=0, atol=1e-10)
 
     def test_each_grid_solved_once(self, monkeypatch):
@@ -239,10 +234,11 @@ class TestContour:
 
 class TestBoxTooSmall:
     """A box too small for k levels is refused, not reported as converged:
-    grid refinement at fixed L cannot see the wall's shift of the levels."""
+    grid refinement at fixed L cannot see the wall's shift of the levels,
+    so each level's budget adds the Hadamard estimate of that shift."""
 
-    MESSAGE = (r"only \d of 5 levels at nu = {nu} keep < 1e-10 of their weight .*"
-               r" on the 2N grid \(N = 1000, L = {L}\)")
+    MESSAGE = (r"^levels 0 \(.*\) at nu = {nu} are shifted by the walls"
+               r" \(L = {L}, N = 1000\): the box is too small$")
 
     def test_accepted_levels_agree_with_default_box(self):
         refused = {}
@@ -267,11 +263,36 @@ class TestBoxTooSmall:
         assert not all(refused.values())
 
     def test_short_answer_refused(self):
-        # E0 ... E4 carry 4.5e-5 ... 2.1e-2 of their weight in the outer 10%
+        # the walls shift E0 ... E4 by 7.8e-4 ... 1.3
         with pytest.raises(NumericalFailure, match=self.MESSAGE.format(nu="0.0", L="3.0")):
             spectrum(SpectralProblem(0.0, L=3.0), 5)
 
     def test_shifted_levels_refused(self):
-        # the wall shifts E4 by 2.6e-2 at 7.7e-5 of its weight near it
+        # the wall shifts E0 by 3.0e-6 and E4 by 2.5e-2
         with pytest.raises(NumericalFailure, match=self.MESSAGE.format(nu="1.0", L="3.0")):
             spectrum(SpectralProblem(1.0, L=3.0), 5)
+
+    @pytest.mark.parametrize("k", [12, 15])
+    def test_high_harmonic_levels_on_default_box(self, k):
+        # E11 and E14 carry a wall shift of 3.5e-12 and 1.6e-9 here
+        res = spectrum(SpectralProblem(0.0), k)
+        np.testing.assert_allclose(res.eigenvalues, 2.0 * np.arange(k) + 1.0, rtol=0, atol=1e-6)
+
+    def test_wall_shift_beyond_refinement_gap_refused(self):
+        # E9 converges under refinement but sits 3.5e-6 above its value in
+        # a wider box; the wall shift names it
+        with pytest.raises(NumericalFailure, match=(
+            r"^levels 9 \(43\.9713[-+][^:]*: wall shift 4\.\de-06, refinement gap \d\.\de-0\d\)"
+            r" at nu = 1\.2438 are shifted by the walls \(L = 4\.0, N = 1000\):"
+            r" the box is too small$"
+        )):
+            spectrum(SpectralProblem(1.2438, L=4.0), 10)
+
+    @pytest.mark.parametrize("nu, L, level", [
+        (0.0, 3.0, 0), (0.0, 4.0, 4), (0.5, 4.0, 3), (1.0, 3.0, 0), (1.0, 3.0, 3),
+    ])
+    def test_wall_shift_matches_wider_box(self, nu, L, level):
+        # the same grid spacing 2L / 1000 on a box 1.5 times wider
+        w, shift, _ = spectral._solve_grid(nu, L, 1001, level + 1, 1)
+        wide, _, _ = spectral._solve_grid(nu, 1.5 * L, 1501, level + 1, 1)
+        assert shift[level] == pytest.approx(abs(w[level] - wide[level]), rel=0.1)
