@@ -3,7 +3,9 @@
 Four subcommands: ``two-level`` (closed-form model report), ``check``
 (observable-criterion consistency demo over one Heisenberg period),
 ``evolve`` (Dirac vs metric norm along the Schroedinger flow, CSV), and
-``spectrum`` (boxed eigensolver report).  Output is deterministic: JSON
+``spectrum`` (boxed eigensolver report).  ``--tolerance`` belongs to
+``check`` alone and decides its two observable criteria; the construction
+of C, eta and U takes no tolerance.  Output is deterministic: JSON
 uses Python's shortest round-trip float repr with two-space indentation,
 CSV uses 15-significant-digit ``%.15g`` fields, LF line endings, UTF-8.
 Complex numbers serialize as {"re": ..., "im": ...} objects.
@@ -60,17 +62,15 @@ def _write_output(text: str, path: str | None) -> None:
 
 def _model(args):
     """(params, H, C, eta) of the two-level model named by the arguments."""
-    if not 0 < args.tolerance < math.inf:
-        raise InvalidInput("tolerance must be positive and finite")
     p = two_level.TwoLevelParams(args.r, args.s, args.theta)
     H = two_level.build_H(p)
-    _, C, eta = metric.cpt_system(H, two_level.PARITY, args.tolerance)
+    _, C, eta = metric.cpt_system(H, two_level.PARITY)
     return p, H, C, eta
 
 
 def _two_level_doc(args) -> str:
     p, H, C, eta = _model(args)
-    pair = equivalence.build_equivalence(H, eta, args.tolerance)
+    pair = equivalence.build_equivalence(H, eta)
     Up = two_level.U_printed(p)
     residual = np.linalg.norm(Up.conj().T @ Up - eta.eta)
     ep, em = two_level.eigenvalues_closed_form(p)
@@ -99,6 +99,8 @@ def _two_level_doc(args) -> str:
 def _check_doc(args) -> str:
     if args.steps < 2:
         raise InvalidInput("steps must be at least 2")
+    if not 0 < args.tolerance < math.inf:
+        raise InvalidInput("tolerance must be positive and finite")
     p, H, C, eta = _model(args)
     period = 2.0 * two_level.bender_return_period(p)
     rows = equivalence.consistency_demo(
@@ -178,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     model.add_argument("--r", type=float, required=True)
     model.add_argument("--s", type=float, required=True)
     model.add_argument("--theta", type=float, required=True, help="radians")
-    model.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
 
     parser = argparse.ArgumentParser(
         prog="ptqm",
@@ -192,6 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", parents=[common, model])
     p_check.add_argument("--steps", type=int, default=32)
     p_check.add_argument("--format", choices=["json", "csv"], default="json")
+    p_check.add_argument("--tolerance", type=float, default=DEFAULT_TOL,
+                         help="tolerance of both observable criteria")
     p_check.set_defaults(handler=_check_doc)
 
     p_evolve = sub.add_parser("evolve", parents=[common, model])

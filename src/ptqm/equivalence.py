@@ -39,6 +39,7 @@ from .errors import (
     PseudoHermiticityViolated,
 )
 from .linalg import (
+    CONSTRUCTION_BOUND,
     DEFAULT_TOL,
     as_square_matrix,
     matrix_exponential,
@@ -56,29 +57,30 @@ class EquivalencePair:
     h: np.ndarray
 
 
-def build_equivalence(H, metric: Metric, tol: float = DEFAULT_TOL) -> EquivalencePair:
+def build_equivalence(H, metric: Metric) -> EquivalencePair:
     """Canonical U = W rho with rho = sqrt(eta) and W the unitary
     diagonalizing rho H rho^{-1}, eigenvalues descending.
 
     The resulting h = U H U^{-1} is diagonal with real entries.
     Eigenvector phases in W: first component of magnitude above
     1e-12 of the maximum is made real positive.  rho comes from the
-    eigensystem ``metric`` was validated with, at its own tolerance;
-    ``tol`` bounds the relative pseudo-Hermiticity residual of H.
+    eigensystem ``metric`` was validated with; the relative
+    pseudo-Hermiticity residual of H must not exceed ``CONSTRUCTION_BOUND``.
     """
     Hm = as_square_matrix(H, "Hamiltonian", metric.dim)
-    U, U_inv, _ = _canonical_map(Hm, metric, tol)
+    U, U_inv, _ = _canonical_map(Hm, metric)
     return EquivalencePair(U=U, h=U @ Hm @ U_inv)
 
 
-def _canonical_map(Hm: np.ndarray, metric: Metric, tol: float):
+def _canonical_map(Hm: np.ndarray, metric: Metric):
     """(U, U^{-1}, w) of :func:`build_equivalence`: w holds the eigenvalues
     of rho H rho^{-1}, descending, which h = U H U^{-1} has on its
-    diagonal up to rounding.  Its eta H test is :func:`check_observable_hermitian`."""
-    if not check_observable_hermitian(Hm, metric, tol):
+    diagonal up to rounding.  Its eta H test is :func:`check_observable_hermitian`
+    at ``CONSTRUCTION_BOUND``."""
+    if not check_observable_hermitian(Hm, metric, CONSTRUCTION_BOUND):
         raise PseudoHermiticityViolated(
             f"||eta H - H^dagger eta|| / ||eta H|| = {_eta_gap(Hm[None], metric.eta)[0]:.3e} "
-            f"exceeds tolerance {tol:.3e}"
+            f"exceeds tolerance {CONSTRUCTION_BOUND:.3e}"
         )
     Q = metric.eigenvectors
     rho = (Q * np.sqrt(metric.eigenvalues)) @ Q.conj().T
@@ -95,7 +97,7 @@ def _canonical_map(Hm: np.ndarray, metric: Metric, tol: float):
     return U, np.linalg.inv(U), w[order]
 
 
-def build_equivalence_pt(H, P, tol: float = DEFAULT_TOL) -> EquivalencePair:
+def build_equivalence_pt(H, P) -> EquivalencePair:
     """PT-gauge equivalence map built from PT-normalized eigenvectors.
 
     Rows of U are (eta phi_n)^dagger, where the phi_n are the
@@ -104,7 +106,7 @@ def build_equivalence_pt(H, P, tol: float = DEFAULT_TOL) -> EquivalencePair:
     n-th standard basis vector, so h is diagonal with descending entries.
     """
     Hm = as_square_matrix(H, "Hamiltonian")
-    Phi, _, metric = cpt_system(Hm, P, tol)
+    Phi, _, metric = cpt_system(Hm, P)
     U = (metric.eta @ Phi).conj().T
     h = U @ Hm @ np.linalg.inv(U)
     return EquivalencePair(U=U, h=h)
@@ -201,12 +203,15 @@ def consistency_demo(H, C, P, metric: Metric, O, times, tol: float = DEFAULT_TOL
     construction of U computed.  The exponentials are scalar phases,
     so the rounding error grows like kappa(eta) eps, not kappa(eta)^2 eps
     as with dense e^{+-iHt}, and the t = 0 row is O itself.  When
-    ``metric`` is the CPT metric eta = (C P)^T, o is replaced by its
-    Hermitian part: for a symmetric O, (eta O - O^dagger eta)^T =
-    O CP - CP O*, so passing the t = 0 test makes O eta-self-adjoint and o
-    Hermitian up to rounding, and the projection drops that rounding
-    instead of letting it grow along the flow.  For any other metric o is
-    evolved as it is, and the rows say whether O is eta-self-adjoint.
+    ``metric`` is the CPT metric eta = (C P)^T, to ``CONSTRUCTION_BOUND``
+    relative, o is replaced by its Hermitian part: for a symmetric O,
+    (eta O - O^dagger eta)^T = O CP - CP O*, so passing the t = 0 test
+    makes O eta-self-adjoint and o Hermitian up to rounding, and the
+    projection drops that rounding instead of letting it grow along the
+    flow.  For any other metric o is evolved as it is, and the rows say
+    whether O is eta-self-adjoint.  ``tol`` decides the two criteria on
+    each row, the t = 0 test included; the construction of U tests H
+    against ``CONSTRUCTION_BOUND``.
 
     Under the CPT metric every row is eta-Hermitian in exact arithmetic, so
     a row that fails that test is rounding, and the run is refused with
@@ -234,10 +239,10 @@ def consistency_demo(H, C, P, metric: Metric, O, times, tol: float = DEFAULT_TOL
     # sized here, so that a refusal names the operand of the wrong size
     Hm = as_square_matrix(H, "Hamiltonian", len(CP))
     as_square_matrix(metric.eta, "metric", len(CP))
-    U, U_inv, w = _canonical_map(Hm, metric, tol)
+    U, U_inv, w = _canonical_map(Hm, metric)
     h = np.diag(w.astype(complex))
     o = U @ Om @ U_inv
-    cpt_metric = relative_gap(metric.eta, CP.T) <= tol
+    cpt_metric = relative_gap(metric.eta, CP.T) <= CONSTRUCTION_BOUND
     if cpt_metric:
         o = 0.5 * (o + o.conj().T)
     rows = []

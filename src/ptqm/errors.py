@@ -54,7 +54,8 @@ class SelfOrthogonalEigenvector(NumericalFailure):
 class IllConditioned(NumericalFailure):
     """Rounding, amplified by the metric's condition number, fails a test
     that holds exactly, or is as large as the residual a test must judge;
-    or a positive metric's condition number exceeds 1/tol."""
+    or a positive metric's condition number exceeds the inverse of
+    ``linalg.CONSTRUCTION_BOUND``."""
 
 
 class MetricNotPositive(NumericalFailure):

@@ -3,9 +3,12 @@ left/right pairs, matrix exponential, the validated metric record, and
 the one residual rule.
 
 All routines are pure functions on square complex ``numpy`` arrays.  Every
-residual test at a caller's ``tol`` (``DEFAULT_TOL`` by default) reads
-``relative_gap(X, Y) <= tol``: relative in the Frobenius norm with no
-floor, so it does not depend on the scale of X, and a NaN fails it.
+residual test reads ``relative_gap(X, Y) <= bound``: relative in the
+Frobenius norm with no floor, so it does not depend on the scale of X, and
+a NaN fails it.  The tests of the construction from (H, P) to (C, eta, U)
+read one bound, ``CONSTRUCTION_BOUND``; only the observable criteria of
+:mod:`ptqm.equivalence` read a caller's ``tol`` (``DEFAULT_TOL`` by
+default).
 
 Importing this module loads numpy only.  :func:`matrix_exponential` of a
 diagonal matrix never loads scipy; its first call on any other matrix
@@ -27,7 +30,13 @@ from .errors import (
     NonDiagonalizable,
 )
 
+#: Default tolerance of the observable criteria, the caller's question.
 DEFAULT_TOL = 1e-10
+
+#: Bound on every relative residual the construction from (H, P) to
+#: (C, eta, U) tests (eigendecomposition, metric Hermiticity, real spectrum,
+#: eta H = H^dagger eta), and on 1/kappa of a metric.
+CONSTRUCTION_BOUND = 1e-10
 
 
 def as_square_matrix(M, name: str = "matrix", dim: int | None = None) -> np.ndarray:
@@ -98,14 +107,14 @@ class EigenSystem:
         return (self.right_vectors * self.eigenvalues) @ self.left_vectors.conj().T
 
 
-def eig(M, tol: float = DEFAULT_TOL) -> EigenSystem:
+def eig(M) -> EigenSystem:
     """Eigendecompose a diagonalizable matrix.
 
     Eigenvalues are sorted by descending real part, ties broken by
     descending imaginary part.  Raises :class:`NonDiagonalizable` when the
-    spectral reconstruction misses the input by more than ``tol``
-    (relative), which is how a defective matrix / exceptional point shows
-    up numerically.
+    spectral reconstruction misses the input by more than
+    ``CONSTRUCTION_BOUND`` (relative), which is how a defective matrix /
+    exceptional point shows up numerically.
     """
     A = as_square_matrix(M)
     w, V = np.linalg.eig(A)
@@ -118,7 +127,7 @@ def eig(M, tol: float = DEFAULT_TOL) -> EigenSystem:
         raise NonDiagonalizable("eigenvector matrix is singular") from exc
     left = Winv.conj().T
     es = EigenSystem(eigenvalues=w, right_vectors=V, left_vectors=left)
-    if not relative_gap(A, es.reconstruct()) <= tol:
+    if not relative_gap(A, es.reconstruct()) <= CONSTRUCTION_BOUND:
         raise NonDiagonalizable(
             "spectral reconstruction residual exceeds tolerance; "
             "matrix is defective or near an exceptional point"
@@ -170,29 +179,29 @@ def matrix_exponential(M, times=None) -> np.ndarray:
 @dataclass(frozen=True)
 class Metric:
     """Hermitian positive-definite matrix of a physical inner product,
-    validated once, when built, at tolerance ``tol``; ``eigenvalues`` are
-    the ascending eigenvalues the validation computed and the columns of
-    ``eigenvectors`` their orthonormal eigenvectors.  A smallest eigenvalue
-    at or below n eps max|w| is non-positive (:class:`InvalidMetric`); one
-    above it but at or below tol max|w| has kappa past 1/tol
-    (:class:`IllConditioned`)."""
+    validated once, when built, against ``CONSTRUCTION_BOUND``;
+    ``eigenvalues`` are the ascending eigenvalues the validation computed
+    and the columns of ``eigenvectors`` their orthonormal eigenvectors.  A
+    relative anti-Hermitian part above the bound, or a smallest eigenvalue
+    at or below n eps max|w|, raises :class:`InvalidMetric`; a smallest
+    eigenvalue above that but at or below the bound times max|w| has kappa
+    past its inverse (:class:`IllConditioned`)."""
 
     eta: np.ndarray
-    tol: float = DEFAULT_TOL
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
     eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         eta = as_square_matrix(self.eta, "metric")
-        if not relative_gap(eta, eta.conj().T) <= self.tol:
+        if not relative_gap(eta, eta.conj().T) <= CONSTRUCTION_BOUND:
             raise InvalidMetric("metric is not Hermitian")
         w, Q = np.linalg.eigh(eta)
         top = abs(w).max()
-        if not w.min() > self.tol * top:
+        if not w.min() > CONSTRUCTION_BOUND * top:
             if w.min() > len(w) * np.finfo(float).eps * top:
                 raise IllConditioned(
                     f"metric is positive but ill-conditioned: kappa = {top / w.min():.3e}"
-                    f" exceeds 1/tol = {1 / self.tol:.3e}"
+                    f" exceeds the bound {1 / CONSTRUCTION_BOUND:.3e}"
                 )
             raise InvalidMetric(f"metric has non-positive eigenvalue {w.min():.3e}")
         object.__setattr__(self, "eta", eta)

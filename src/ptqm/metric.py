@@ -27,7 +27,7 @@ from .errors import (
     SelfOrthogonalEigenvector,
 )
 from .linalg import (
-    DEFAULT_TOL,
+    CONSTRUCTION_BOUND,
     EigenSystem,
     Metric,
     as_square_matrix,
@@ -77,15 +77,16 @@ def pt_normalize(es: EigenSystem, P):
     cols = np.arange(m)
     k = np.argmax(np.abs(V), axis=0)
     ratio = PV[k, cols] / V[k, cols]
-    mod = np.hypot(ratio.real, ratio.imag)
-    broken = ~(np.abs(mod - 1.0) <= 1e-6)
-    # a column already found broken may have mod = 0: do not divide by it
-    rot = np.exp(0.5j * np.angle(ratio / np.where(broken, 1.0, mod)))
+    # mod = 0 gives a NaN rotation, which the residual test below refuses
+    with np.errstate(invalid="ignore"):
+        rot = np.exp(0.5j * np.angle(ratio / np.hypot(ratio.real, ratio.imag)))
     V *= rot
     PV *= rot.conj()
     PV -= V
+    # at the largest component k the residual is (mod - 1) phi_k, so this
+    # test also bounds |mod - 1| by 1e-8 sqrt(n) for an orthogonal parity
     bound = 1e-8 * np.maximum(np.linalg.norm(V, axis=0), 1.0)
-    broken |= ~(np.linalg.norm(PV, axis=0) <= bound)
+    broken = ~(np.linalg.norm(PV, axis=0) <= bound)
     if broken.any():
         raise NotPTSymmetric(
             f"eigenvector {np.argmax(broken)} is not proportional to its PT image "
@@ -119,33 +120,34 @@ def build_C(Phi) -> np.ndarray:
     return C
 
 
-def _constructed_metric(eta, tol: float, source: str) -> Metric:
-    """``Metric(eta, tol)`` for an eta built from H: a failed validation is
-    a breakdown of the construction, raised as :class:`MetricNotPositive`,
-    or as :class:`IllConditioned` for a positive eta past 1/tol, with
-    ``source`` prefixed to the message."""
+def _constructed_metric(eta, source: str) -> Metric:
+    """``Metric(eta)`` for an eta built from H: a failed validation is a
+    breakdown of the construction, raised as :class:`MetricNotPositive`,
+    or as :class:`IllConditioned` for a positive eta whose kappa exceeds
+    the inverse of ``CONSTRUCTION_BOUND``, with ``source`` prefixed to the
+    message."""
     try:
-        return Metric(eta, tol)
+        return Metric(eta)
     except InvalidMetric as exc:
         raise MetricNotPositive(f"{source} {exc}") from exc
     except IllConditioned as exc:
         raise IllConditioned(f"{source} {exc}") from exc
 
 
-def metric_from_CPT(C, P, tol: float = DEFAULT_TOL) -> Metric:
+def metric_from_CPT(C, P) -> Metric:
     """Metric eta = P^T C^T of the CPT inner product.
 
     Raises :class:`MetricNotPositive` when the candidate fails Hermiticity
-    or positivity at ``tol``, which signals a broken PT phase or a
-    sign-convention error upstream, and :class:`IllConditioned` when it is
-    positive with a condition number past 1/tol.
+    or positivity, which signals a broken PT phase or a sign-convention
+    error upstream, and :class:`IllConditioned` when it is positive with a
+    condition number past the inverse of ``CONSTRUCTION_BOUND``.
     """
     Cm = as_square_matrix(C, "charge conjugation")
     Pm = as_square_matrix(P, "parity", len(Cm))
-    return _constructed_metric(Pm.T @ Cm.T, tol, "CPT")
+    return _constructed_metric(Pm.T @ Cm.T, "CPT")
 
 
-def cpt_system(H, P, tol: float = DEFAULT_TOL):
+def cpt_system(H, P):
     """The chain from (H, P) to the CPT metric: eigendecomposition,
     PT normalization, C and eta.
 
@@ -153,26 +155,27 @@ def cpt_system(H, P, tol: float = DEFAULT_TOL):
     PT-normalized eigenvectors, in the eigenvalue order of
     :func:`~ptqm.linalg.eig`.
     """
-    Phi, _ = pt_normalize(eig(H, tol), P)
+    Phi, _ = pt_normalize(eig(H), P)
     C = build_C(Phi)
-    return Phi, C, metric_from_CPT(C, P, tol)
+    return Phi, C, metric_from_CPT(C, P)
 
 
-def metric_from_biorthonormal(es: EigenSystem, tol: float = DEFAULT_TOL) -> Metric:
+def metric_from_biorthonormal(es: EigenSystem) -> Metric:
     """eta_b = sum_n chi_n chi_n^dagger from the left eigenvectors.
 
-    Requires a real spectrum; eta_b then intertwines the source matrix
-    with its adjoint, eta_b H = H^dagger eta_b.  eta_b = L L^dagger is
-    positive by construction, so a failed positivity test at ``tol`` (a
-    near-singular eigenvector matrix) raises :class:`IllConditioned`, or
-    :class:`MetricNotPositive` for an eigenvalue within its rounding.
+    Requires a real spectrum, to ``CONSTRUCTION_BOUND`` relative to the
+    largest |eigenvalue|; eta_b then intertwines the source matrix with its
+    adjoint, eta_b H = H^dagger eta_b.  eta_b = L L^dagger is positive by
+    construction, so a failed positivity test (a near-singular eigenvector
+    matrix) raises :class:`IllConditioned`, or :class:`MetricNotPositive`
+    for an eigenvalue within its rounding.
     """
     w = es.eigenvalues
-    if not np.abs(w.imag).max() <= tol * np.abs(w).max():
+    if not np.abs(w.imag).max() <= CONSTRUCTION_BOUND * np.abs(w).max():
         raise ComplexSpectrum(
             f"largest |Im eigenvalue| = {np.abs(w.imag).max():.3e}; "
             "a real spectrum is required"
         )
     L = es.left_vectors
     eta = L @ L.conj().T
-    return _constructed_metric(0.5 * (eta + eta.conj().T), tol, "biorthonormal")
+    return _constructed_metric(0.5 * (eta + eta.conj().T), "biorthonormal")

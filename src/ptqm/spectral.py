@@ -152,6 +152,21 @@ def _solve_grid(nu: float, L: float, N: int, k: int, refinement: int):
     return w, shift, h
 
 
+def _level(z: complex) -> str:
+    """A refused level as its message names it: the real part to 6 digits,
+    and the imaginary part only where it is at least ``_CONVERGENCE_ABS``,
+    so that rounding noise, whose digits follow the BLAS thread count, is
+    not printed."""
+    return f"{z:.6g}" if abs(z.imag) >= _CONVERGENCE_ABS else f"{z.real:.6g}"
+
+
+def _budget_share(x: float) -> str:
+    """A wall shift or refinement gap to 2 digits where it exceeds 1% of
+    ``_CONVERGENCE_ABS``; at or below that its digits are rounding noise."""
+    floor = 0.01 * _CONVERGENCE_ABS
+    return f"<{floor:.0e}" if x <= floor else f"{x:.1e}"
+
+
 def spectrum(p: SpectralProblem, k: int) -> SpectrumResult:
     """Lowest k levels by real part, Richardson-extrapolated, each within
     its error budget.
@@ -181,8 +196,8 @@ def spectrum(p: SpectralProblem, k: int) -> SpectrumResult:
     shift = np.max([grid[1] for grid in (grid_n, grid_2n, grid_4n)], axis=0)
     over = [i for i in range(k) if not gap[i] + shift[i] < _CONVERGENCE_ABS]
     if over:
-        named = ", ".join(f"{i} ({levels[i]:.6g}: wall shift {shift[i]:.1e}, refinement"
-                          f" gap {gap[i]:.1e})" for i in over)
+        named = ", ".join(f"{i} ({_level(levels[i])}: wall shift {_budget_share(shift[i])},"
+                          f" refinement gap {_budget_share(gap[i])})" for i in over)
         box = f"(L = {p.L}, N = {p.N})"
         cause = (f"are shifted by the walls {box}: the box is too small"
                  if any(not shift[i] <= gap[i] for i in over)

@@ -6,7 +6,8 @@ handler builds the two-level model through it, or in ``main`` when no
 handler reads it (``--output``).  An option that nothing reads is removed
 rather than accepted and ignored; the ones removed for that reason
 (``--format`` of ``two-level``, ``evolve`` and ``spectrum``, and
-``spectrum --tolerance``) now exit 2 as unrecognized.
+``--tolerance`` of every subcommand but ``check``, whose two observable
+criteria are the only tests it decides) now exit 2 as unrecognized.
 """
 
 import argparse
@@ -77,6 +78,8 @@ def test_every_option_is_read():
         ["evolve", *MODEL, "--t-max", "1", "--steps", "3", "--format", "csv"],
         ["spectrum", "--nu", "1", "--format", "json"],
         ["spectrum", "--nu", "1", "--tolerance", "1e-8"],
+        ["two-level", *MODEL, "--tolerance", "1e-8"],
+        ["evolve", *MODEL, "--t-max", "1", "--steps", "3", "--tolerance", "1e-8"],
     ],
 )
 def test_removed_option_exits_2(capsys, argv):

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import cli_sweep
 
-CODES = {0: 643, 2: 173, 3: 84}
-DIGEST = "c9a1edfb50c1c6c6708460f6e90d2baaddffb46233e90f23616ff1905d092b5c"
+CODES = {0: 654, 2: 173, 3: 73}
+DIGEST = "3c04079bbd61e73230d8911bed4534500981787c1fbdc61821be6a911f9df3a8"
 
 
 def test_sweep_is_byte_identical():

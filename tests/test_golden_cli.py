@@ -4,9 +4,9 @@ Each file in ``tests/golden/`` holds the argv of one command with its
 exit code, standard output and standard error.  ``spectrum`` levels are
 left out: their last digits depend on the BLAS thread count.  Its two
 refusals are pinned: nu out of regime, and a box too small for k levels
-at nu = 0, whose message gives each level to six digits, its wall shift
-and refinement gap to two, L and N, which read the same under one and two
-BLAS threads.
+at nu = 0, whose message gives each level's real part to six digits, its
+wall shift and refinement gap to two where above 1e-8 ("<1e-08" below),
+L and N, which read the same under one and two BLAS threads.
 
 Re-record after an intended output change with
 

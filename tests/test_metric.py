@@ -368,8 +368,8 @@ class TestMetricScale:
 
     @pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
     def test_nearly_singular_rejected(self, c):
-        # positive, but kappa = 1e11 exceeds 1/tol
-        match = r"kappa = 1\.000e\+11 exceeds 1/tol = 1\.000e\+10$"
+        # positive, but kappa = 1e11 exceeds the inverse of the construction bound
+        match = r"kappa = 1\.000e\+11 exceeds the bound 1\.000e\+10$"
         with pytest.raises(IllConditioned, match=match):
             Metric(c * np.diag([1.0, 1e-11]))
 
@@ -379,43 +379,40 @@ class TestMetricScale:
             Metric(c * np.diag([1.0, 0.0]))
 
 
-class TestCallerTolerance:
-    """Positivity is decided once, at the tolerance of the building call."""
+def _biorthonormal(kappa):
+    # left vectors diag(1, kappa^-1/2) give eta_b = diag(1, 1/kappa)
+    return metric_from_biorthonormal(EigenSystem(
+        eigenvalues=np.array([2.0, 1.0]),
+        right_vectors=np.diag([1.0, np.sqrt(kappa)]),
+        left_vectors=np.diag([1.0, 1.0 / np.sqrt(kappa)]),
+    ))
 
-    # eigenvalue ratio 1e-11: accepted at tol = 1e-12; at tol = 1e-10 still
-    # positive, but with kappa = 1e11 past 1/tol
-    THIN = np.diag([1.0, 1e-11])
 
-    def test_metric_from_CPT(self):
-        metric = metric_from_CPT(self.THIN, np.eye(2), tol=1e-12)
-        np.testing.assert_array_equal(metric.eta, self.THIN)
-        assert metric.tol == 1e-12
-        with pytest.raises(
-            IllConditioned,
-            match=r"^CPT metric is positive but ill-conditioned: kappa = 1\.000e\+11 exceeds",
-        ):
-            metric_from_CPT(self.THIN, np.eye(2), tol=1e-10)
+class TestConstructionBound:
+    """Every metric is validated against the one construction bound, which
+    no caller sets: kappa = 1e9 passes, and kappa = 1e11 is refused naming
+    kappa and the bound, 1e10."""
 
-    def test_metric_from_biorthonormal(self):
-        # left vectors diag(1, sqrt(1e-11)) give eta_b = diag(1, 1e-11)
-        es = EigenSystem(
-            eigenvalues=np.array([2.0, 1.0]),
-            right_vectors=np.diag([1.0, 1.0 / np.sqrt(1e-11)]),
-            left_vectors=np.diag([1.0, np.sqrt(1e-11)]),
-        )
-        np.testing.assert_allclose(
-            metric_from_biorthonormal(es, tol=1e-12).eta, self.THIN, rtol=1e-15
-        )
-        with pytest.raises(
-            IllConditioned,
-            match=r"^biorthonormal metric is positive but ill-conditioned: kappa = 1\.000e\+11",
-        ):
-            metric_from_biorthonormal(es, tol=1e-10)
+    BUILDERS = {
+        "Metric": ("", lambda kappa: Metric(np.diag([1.0, 1.0 / kappa]))),
+        "metric_from_CPT": (
+            "CPT ", lambda kappa: metric_from_CPT(np.diag([1.0, 1.0 / kappa]), np.eye(2))
+        ),
+        "metric_from_biorthonormal": ("biorthonormal ", _biorthonormal),
+    }
 
-    def test_metric_defaults_to_default_tol(self):
-        assert Metric(self.THIN, 1e-12).dim == 2
-        with pytest.raises(IllConditioned, match=r"kappa = 1\.000e\+11"):
-            Metric(self.THIN)
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_kappa_1e9_accepted(self, name):
+        _, build = self.BUILDERS[name]
+        np.testing.assert_allclose(build(1e9).eta, np.diag([1.0, 1e-9]), rtol=1e-15)
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_kappa_1e11_refused(self, name):
+        prefix, build = self.BUILDERS[name]
+        match = (rf"^{prefix}metric is positive but ill-conditioned: "
+                 r"kappa = 1\.000e\+11 exceeds the bound 1\.000e\+10$")
+        with pytest.raises(IllConditioned, match=match):
+            build(1e11)
 
 
 class TestCptSystem:
