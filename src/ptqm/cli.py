@@ -8,10 +8,15 @@ Four subcommands: ``two-level`` (closed-form model report), ``check``
 of C, eta and U takes no tolerance.  Output is deterministic: JSON
 uses Python's shortest round-trip float repr with two-space indentation,
 CSV uses 15-significant-digit ``%.15g`` fields, LF line endings, UTF-8.
-Complex numbers serialize as {"re": ..., "im": ...} objects.
+Complex numbers serialize as {"re": ..., "im": ...} objects.  The rows of
+``check`` and ``evolve`` are written from one fixed template per row, whose
+bytes equal ``json.dumps(..., indent=2)`` of the row record (t is finite)
+and the ``%.15g`` / ``true`` / ``false`` CSV cells.
 
-Exit codes: 0 success, 2 invalid input (malformed or non-finite arguments
-and an unwritable ``--output`` included), 3 numerical failure.
+Exit codes: 0 success, 2 invalid input (malformed or non-finite arguments,
+a ``check`` period that is not finite, and an unwritable ``--output``
+included), 3 numerical failure (an ``evolve`` norm that is not finite
+included).
 """
 
 from __future__ import annotations
@@ -39,9 +44,16 @@ def _cmatrix(M: np.ndarray) -> list:
     return [[_cnum(z) for z in row] for row in np.asarray(M, dtype=complex)]
 
 
-def _csv_row(values) -> str:
-    cells = [("true" if x else "false") if isinstance(x, bool) else "%.15g" % x for x in values]
-    return ",".join(cells)
+#: One ``check`` row of the JSON document: the bytes of ``json.dumps`` with
+#: ``indent=2`` for a row record with finite t, which ``json`` writes with
+#: ``float.__repr__``.
+_CHECK_JSON_ROW = (
+    '    {\n      "t": %r,\n      "symmetric": %s,\n      "cpt_invariant": %s,\n'
+    '      "eta_hermitian": %s\n    }'
+)
+_CHECK_CSV_ROW = "%.15g,%s,%s,%s"
+_EVOLVE_CSV_ROW = "%.15g,%.15g,%.15g"
+_FLAG = ("false", "true")
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -103,15 +115,24 @@ def _check_doc(args) -> str:
         raise InvalidInput("tolerance must be positive and finite")
     p, H, C, eta = _model(args)
     period = 2.0 * two_level.bender_return_period(p)
+    if not math.isfinite(period):
+        raise InvalidInput(f"the period pi / (s cos(alpha)) = {period!r} is not finite")
     rows = equivalence.consistency_demo(
         H, C, two_level.PARITY, eta, two_level.S_mu(p, 2),
         np.linspace(0.0, period, args.steps), args.tolerance,
     )
-    records = [vars(row) for row in rows]
-    if args.format == "csv":
-        lines = [",".join(f.name for f in dataclasses.fields(equivalence.ConsistencyRow))]
-        lines += [_csv_row(record.values()) for record in records]
-        return "\n".join(lines) + "\n"
+    return _check_text(p, period, rows, args.format)
+
+
+def _check_text(p, period: float, rows, fmt: str) -> str:
+    """The ``check`` document of one or more ``rows``, each with a built-in
+    finite float t, through the row templates."""
+    template = _CHECK_CSV_ROW if fmt == "csv" else _CHECK_JSON_ROW
+    lines = [template % (row.t, _FLAG[row.symmetric], _FLAG[row.cpt_invariant],
+                         _FLAG[row.eta_hermitian]) for row in rows]
+    if fmt == "csv":
+        header = ",".join(f.name for f in dataclasses.fields(equivalence.ConsistencyRow))
+        return "\n".join([header] + lines) + "\n"
     doc = {
         "command": "check",
         "r": p.r,
@@ -119,7 +140,7 @@ def _check_doc(args) -> str:
         "theta": p.theta,
         "alpha": p.alpha,
         "period": period,
-        "rows": records,
+        "rows": [],
         "summary": {
             "bender_criterion_dynamically_stable": all(
                 row.symmetric and row.cpt_invariant for row in rows
@@ -127,7 +148,9 @@ def _check_doc(args) -> str:
             "eta_criterion_dynamically_stable": all(row.eta_hermitian for row in rows),
         },
     }
-    return json.dumps(doc, indent=2) + "\n"
+    body = ",\n".join(lines)
+    text = json.dumps(doc, indent=2).replace('"rows": []', '"rows": [\n' + body + "\n  ]", 1)
+    return text + "\n"
 
 
 def _parse_psi0(text: str) -> np.ndarray:
@@ -149,12 +172,18 @@ def _evolve_doc(args) -> str:
     psi0 = _parse_psi0(args.psi0) if args.psi0 else np.array([1.0 + 0j, 0.0 + 0j])
     lines = ["t,norm_dirac,norm_cpt"]
     for chunk in time_chunks(np.linspace(0.0, args.t_max, args.steps), H.shape[0]):
-        ket = (matrix_exponential(H, -1j * chunk) @ psi0)[:, :, None]
-        bra = ket.conj().transpose(0, 2, 1)
-        norm_dirac = np.sqrt((bra @ ket).real)[:, 0, 0]
-        norm_cpt = np.sqrt((bra @ eta.eta @ ket).real)[:, 0, 0]
-        for t, dirac, cpt in zip(chunk.tolist(), norm_dirac.tolist(), norm_cpt.tolist()):
-            lines.append(_csv_row((t, dirac, cpt)))
+        # e^{-iHt} overflows at large t; the norms are tested below instead
+        with np.errstate(all="ignore"):
+            ket = (matrix_exponential(H, -1j * chunk) @ psi0)[:, :, None]
+            bra = ket.conj().transpose(0, 2, 1)
+            norm_dirac = np.sqrt((bra @ ket).real)[:, 0, 0]
+            norm_cpt = np.sqrt((bra @ eta.eta @ ket).real)[:, 0, 0]
+        finite = np.isfinite(norm_dirac) & np.isfinite(norm_cpt)
+        if not finite.all():
+            t = chunk[np.argmin(finite)]
+            raise NumericalFailure(f"the norms of e^(-iHt) psi0 are not finite at t = {t:.15g}")
+        lines += map(_EVOLVE_CSV_ROW.__mod__,
+                     zip(chunk.tolist(), norm_dirac.tolist(), norm_cpt.tolist()))
     return "\n".join(lines) + "\n"
 
 

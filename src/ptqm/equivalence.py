@@ -80,7 +80,7 @@ def _canonical_map(Hm: np.ndarray, metric: Metric):
     if not check_observable_hermitian(Hm, metric, CONSTRUCTION_BOUND):
         raise PseudoHermiticityViolated(
             f"||eta H - H^dagger eta|| / ||eta H|| = {_eta_gap(Hm[None], metric.eta)[0]:.3e} "
-            f"exceeds tolerance {CONSTRUCTION_BOUND:.3e}"
+            f"exceeds the construction bound {CONSTRUCTION_BOUND:.3e}"
         )
     Q = metric.eigenvectors
     rho = (Q * np.sqrt(metric.eigenvalues)) @ Q.conj().T

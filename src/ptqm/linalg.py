@@ -129,8 +129,8 @@ def eig(M) -> EigenSystem:
     es = EigenSystem(eigenvalues=w, right_vectors=V, left_vectors=left)
     if not relative_gap(A, es.reconstruct()) <= CONSTRUCTION_BOUND:
         raise NonDiagonalizable(
-            "spectral reconstruction residual exceeds tolerance; "
-            "matrix is defective or near an exceptional point"
+            "spectral reconstruction residual exceeds the construction bound "
+            f"{CONSTRUCTION_BOUND:.3e}; matrix is defective or near an exceptional point"
         )
     return es
 

@@ -84,7 +84,7 @@ class TestBuildEquivalence:
     def test_incompatible_pair_rejected(self):
         # identity metric does not make the PT model self-adjoint; the
         # refusal prints the relative residual it was judged by
-        message = r"^\|\|eta H - H\^dagger eta\|\| / \|\|eta H\|\| = \d\.\d{3}e-01 exceeds tolerance 1\.000e-10$"
+        message = r"^\|\|eta H - H\^dagger eta\|\| / \|\|eta H\|\| = \d\.\d{3}e-01 exceeds the construction bound 1\.000e-10$"
         with pytest.raises(PseudoHermiticityViolated, match=message):
             build_equivalence(build_H(REFERENCE), Metric(np.eye(2)))
 

@@ -54,7 +54,7 @@ class TestEig:
             np.testing.assert_allclose(es.reconstruct(), M, atol=1e-9)
 
     def test_defective_matrix_rejected(self):
-        with pytest.raises(NonDiagonalizable):
+        with pytest.raises(NonDiagonalizable, match="exceeds the construction bound 1.000e-10;"):
             eig(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_nonsquare_rejected(self):
