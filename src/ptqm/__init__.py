@@ -38,11 +38,9 @@ from .two_level import (
     PARITY,
     S_mu,
     TwoLevelParams,
-    bender_family,
     bender_return_period,
     build_H,
     eigenvalues_closed_form,
-    eta_closed_form,
 )
 
 __version__ = "0.1.0"

@@ -1,8 +1,13 @@
-"""Closed forms for the 2x2 model H = [[r e^{i theta}, s], [s, r e^{-i theta}]].
+"""The 2x2 model H = [[r e^{i theta}, s], [s, r e^{-i theta}]] of the CLI.
 
-This module is the oracle layer: everything here is an explicit
-trigonometric formula in alpha = arcsin(r sin(theta) / s), against which
-the generic eigenvector/metric/equivalence machinery is validated.
+Its parameters and matrix, and the closed forms the CLI prints next to
+what the generic eigenvector/metric/equivalence machinery builds from H:
+the eigenvalues, the pulled-back spin observables S_mu, the return period
+of S_2 and the equivalence map as printed in the source reference.  Each
+is an explicit trigonometric formula in alpha = arcsin(r sin(theta) / s).
+The closed forms the tests judge that machinery by (C, eta, h and the
+Heisenberg flow of S_2) live outside the package, in
+``benchmarks/oracles.py`` and ``tests/conftest.py``.
 
 Conventions.  s > 0 is canonical (a negative s is equivalent to flipping
 the sign of the off-diagonal basis and is absorbed at construction), which
@@ -87,17 +92,6 @@ def eigenvalues_closed_form(p: TwoLevelParams):
     return base + gap, base - gap
 
 
-def C_closed_form(p: TwoLevelParams) -> np.ndarray:
-    """C = sec(alpha) sigma_1 + i tan(alpha) sigma_3."""
-    return SIGMA_1 / math.cos(p.alpha) + 1j * math.tan(p.alpha) * SIGMA_3
-
-
-def eta_closed_form(p: TwoLevelParams) -> np.ndarray:
-    """CPT metric sec(alpha) sigma_0 + tan(alpha) sigma_2,
-    eigenvalues sec(alpha) +- tan(alpha)."""
-    return SIGMA_0 / math.cos(p.alpha) + math.tan(p.alpha) * SIGMA_2
-
-
 def U_printed(p: TwoLevelParams) -> np.ndarray:
     """The equivalence map exactly as printed in the source reference,
     prefactor 1 / sqrt(2 cos(alpha)), bottom row (-i e^{i a/2}, i e^{i a/2}).
@@ -115,12 +109,6 @@ def U_printed(p: TwoLevelParams) -> np.ndarray:
     )
 
 
-def h_closed_form(p: TwoLevelParams) -> np.ndarray:
-    """diag(epsilon_+, epsilon_-) = r cos(theta) sigma_0 + s cos(alpha) sigma_3."""
-    ep, em = eigenvalues_closed_form(p)
-    return np.array([[ep, 0.0], [0.0, em]], dtype=complex)
-
-
 def S_mu(p: TwoLevelParams, mu: int) -> np.ndarray:
     """Pulled-back spin observables S_mu, mu in 0..3 (see module docstring)."""
     if mu not in (0, 1, 2, 3):
@@ -134,23 +122,6 @@ def S_mu(p: TwoLevelParams, mu: int) -> np.ndarray:
     if mu == 2:
         return 0.5 * (1j * tan * SIGMA_1 - sec * SIGMA_3)
     return 0.5 * (sec * SIGMA_1 + 1j * tan * SIGMA_3)
-
-
-def bender_family(p: TwoLevelParams, a: float, b: float, c: float) -> np.ndarray:
-    """General symmetric CPT-invariant observable,
-    a sigma_0 + (b - i c sin(alpha)) sigma_1 + (c + i b sin(alpha)) sigma_3."""
-    sa = math.sin(p.alpha)
-    return (
-        a * SIGMA_0
-        + (b - 1j * c * sa) * SIGMA_1
-        + (c + 1j * b * sa) * SIGMA_3
-    )
-
-
-def heisenberg_S2_closed_form(p: TwoLevelParams, t: float) -> np.ndarray:
-    """O_H(t) = sin(2 s cos(alpha) t) S_1 + cos(2 s cos(alpha) t) S_2."""
-    omega = 2.0 * p.s * math.cos(p.alpha) * t
-    return math.sin(omega) * S_mu(p, 1) + math.cos(omega) * S_mu(p, 2)
 
 
 def bender_return_period(p: TwoLevelParams) -> float:

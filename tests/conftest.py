@@ -1,4 +1,8 @@
+import importlib.util
+import math
 import os
+import sys
+from pathlib import Path
 
 # One BLAS thread, set before numpy loads, as benchmarks/run.py does: on a
 # two-core machine two OpenBLAS threads make small complex matmuls up to
@@ -10,12 +14,55 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from ptqm.errors import InvalidMetric  # noqa: E402
-from ptqm.linalg import DEFAULT_TOL, eig, matrix_exponential  # noqa: E402
-from ptqm.metric import build_C, metric_from_CPT, pt_normalize  # noqa: E402
-from ptqm.two_level import TwoLevelParams  # noqa: E402
+from ptqm.linalg import DEFAULT_TOL  # noqa: E402
+from ptqm.two_level import PARITY, SIGMA_0, SIGMA_1, SIGMA_3, S_mu, TwoLevelParams  # noqa: E402
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def load_benchmark_module(name):
+    """``benchmarks/<name>.py`` loaded by its path, a new module on each
+    call; the benchmark is no package, and the load writes no bytecode
+    there."""
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+#: The benchmark's reference computations, which import no ptqm: the 2x2
+#: closed forms and ``LargeN``, whose eta, spectrum and PT-normalized
+#: eigenvectors are exact at any n.
+oracles = load_benchmark_module("oracles")
 
 
 # Reference definitions the tests compare the toolkit against.
+
+
+def two_level_exact(p):
+    """(C, eta, h) of the 2x2 model at ``p`` from the oracle's closed forms:
+    eta = sec(alpha) 1 + tan(alpha) sigma_2, C = eta^T P (as eta = P^T C^T)
+    and h = diag(epsilon_+, epsilon_-)."""
+    eta = oracles.two_level_eta(p.r, p.s, p.theta)
+    return eta.T @ PARITY, eta, np.diag(oracles.two_level_eigenvalues(p.r, p.s, p.theta))
+
+
+def heisenberg_S2(p, t):
+    """O_H(t) = sin(2 s cos(alpha) t) S_1 + cos(2 s cos(alpha) t) S_2."""
+    omega = 2.0 * p.s * math.cos(p.alpha) * t
+    return math.sin(omega) * S_mu(p, 1) + math.cos(omega) * S_mu(p, 2)
+
+
+def bender_family(p, a, b, c):
+    """Every observable the symmetric/CPT criterion admits, the real span
+    of {S_0, S_2, S_3}: a sigma_0 + (b - i c sin(alpha)) sigma_1
+    + (c + i b sin(alpha)) sigma_3."""
+    sa = math.sin(p.alpha)
+    return a * SIGMA_0 + (b - 1j * c * sa) * SIGMA_1 + (c + 1j * b * sa) * SIGMA_3
 
 
 def pt_inner_product(P, psi, phi) -> complex:
@@ -55,30 +102,6 @@ def random_valid_params(rng, margin=0.95):
         theta = rng.uniform(-np.pi, np.pi)
         if abs(r * np.sin(theta) / s) < margin:
             return TwoLevelParams(r, s, theta)
-
-
-def pt_symmetric_system(n, rng, eps=0.2):
-    """(H, P, C, metric, O) for H = S H0 S^T with S = expm(i eps K), P the
-    flip matrix, H0 real symmetric of unit norm with P H0 P = H0 and K real
-    antisymmetric with P K P = -K; O = Phi o Phi^T with Phi the
-    PT-normalized eigenvectors and o real symmetric, block-diagonal in the
-    PT-norm signs, passes the symmetric/CPT-invariant check."""
-    P = np.eye(n)[::-1]
-    A = rng.normal(size=(n, n))
-    H0 = A + A.T
-    H0 = 0.5 * (H0 + P @ H0 @ P)
-    H0 /= np.linalg.norm(H0, 2)
-    K = A - A.T
-    K = 0.5 * (K - P @ K @ P)
-    S = matrix_exponential(1j * eps * K / np.linalg.norm(K, 2))
-    H = S @ H0 @ S.T
-    Phi, signs = pt_normalize(eig(H), P)
-    C = build_C(Phi)
-    metric = metric_from_CPT(C, P)
-    signs = np.array(signs)
-    B = rng.normal(size=(n, n))
-    o = (B + B.T) * (signs[:, None] == signs[None, :])
-    return H, P, C, metric, Phi @ (o / np.linalg.norm(o, 2)) @ Phi.T
 
 
 @pytest.fixture

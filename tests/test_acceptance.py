@@ -39,18 +39,13 @@ from ptqm.two_level import (
     SIGMA_1,
     SIGMA_2,
     SIGMA_3,
-    C_closed_form,
     S_mu,
     TwoLevelParams,
     U_printed,
     build_H,
-    eigenvalues_closed_form,
-    eta_closed_form,
-    h_closed_form,
-    heisenberg_S2_closed_form,
 )
 
-from conftest import cpt_inner_product, random_valid_params
+from conftest import cpt_inner_product, heisenberg_S2, random_valid_params, two_level_exact
 from test_spectral import GALERKIN_E0_NU1, galerkin_levels
 
 REFERENCE = TwoLevelParams(1.0, 1.0, np.pi / 6)
@@ -87,12 +82,13 @@ def test_criterion_01_closed_form_agreement(capsys, rng):
     for _ in range(200):
         p = random_valid_params(rng)
         H, es, C, eta = pipeline(p)
-        ep, em = eigenvalues_closed_form(p)
+        C_exact, eta_exact, h_exact = two_level_exact(p)
+        ep, em = np.diag(h_exact)
         worst = max(worst, np.abs(es.eigenvalues - [ep, em]).max() / max(abs(ep), 1.0))
-        worst = max(worst, rel_err(C, C_closed_form(p)))
-        worst = max(worst, rel_err(eta.eta, eta_closed_form(p)))
+        worst = max(worst, rel_err(C, C_exact))
+        worst = max(worst, rel_err(eta.eta, eta_exact))
         pair = build_equivalence(H, eta)
-        worst = max(worst, rel_err(pair.h, h_closed_form(p)))
+        worst = max(worst, rel_err(pair.h, h_exact))
         pt_pair = build_equivalence_pt(H, PARITY)
         for mu in range(4):
             worst = max(
@@ -153,7 +149,7 @@ def test_criterion_04_equivalence_reduction(capsys, rng):
         pair = build_equivalence(H, eta)
         worst = max(worst, rel_err(pair.U.conj().T @ pair.U, eta.eta))
         worst = max(worst, frobenius(pair.h - pair.h.conj().T) / max(frobenius(pair.h), 1.0))
-        ep, em = eigenvalues_closed_form(p)
+        ep, em = np.diag(two_level_exact(p)[2])
         worst = max(
             worst,
             np.abs(np.sort(np.linalg.eigvalsh(pair.h)) - sorted([ep, em])).max()
@@ -184,7 +180,7 @@ def test_criterion_05_heisenberg_inconsistency(capsys):
     hermitian_everywhere = True
     for t in grid:
         Ot = heisenberg_evolve(H, O, t)
-        worst = max(worst, frobenius(Ot - heisenberg_S2_closed_form(p, t)))
+        worst = max(worst, frobenius(Ot - heisenberg_S2(p, t)))
         hermitian_everywhere &= check_observable_hermitian(Ot, eta)
     O_mid = heisenberg_evolve(H, O, np.pi / (2.0 * np.sqrt(3.0)))
     mid = check_observable_bender(O_mid, C, PARITY)

@@ -8,32 +8,21 @@ metric without spans and makes ``run.py --trace 1`` fail.  This runs the
 """
 
 import contextlib
-import importlib.util
 import io
-import sys
-from pathlib import Path
 
 import numpy as np
 
 from ptqm import equivalence
 from ptqm.cli import main
+from ptqm.metric import cpt_system
 
-from conftest import pt_symmetric_system
+from conftest import load_benchmark_module, oracles
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 MODEL = ["--r", "1.0", "--s", "1.0", "--theta", "0.5235987755982988"]
 
 
-def load_tracing(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_every_layer_has_a_span_at_n2(monkeypatch):
-    tracing = load_tracing(monkeypatch)
+def test_every_layer_has_a_span_at_n2():
+    tracing = load_benchmark_module("tracing")
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -52,15 +41,18 @@ def test_every_layer_has_a_span_at_n2(monkeypatch):
     assert tracer.counts["expm"] == 1
 
 
-def test_consistency_demo_has_spans_at_n64(monkeypatch, rng):
+def test_consistency_demo_has_spans_at_n64(rng):
     # the large_n workload runs a short demo at n = 64 and 256
-    H, P, C, metric, O = pt_symmetric_system(64, rng)
-    tracing = load_tracing(monkeypatch)
+    system = oracles.LargeN(64, rng)
+    _, C, metric = cpt_system(system.H, system.P)
+    O = system.observable(rng)
+    tracing = load_benchmark_module("tracing")
     tracer = tracing.Tracer()
     tracer.install()
     try:
         with tracer.operation(0, True):
-            equivalence.consistency_demo(H, C, P, metric, O, np.linspace(0.0, 1.0, 4))
+            equivalence.consistency_demo(system.H, C, system.P, metric, O,
+                                         np.linspace(0.0, 1.0, 4))
     finally:
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
@@ -69,10 +61,10 @@ def test_consistency_demo_has_spans_at_n64(monkeypatch, rng):
         assert f"{prefix}.n64" in names
 
 
-def test_spectrum_grid_solves_are_seen(monkeypatch):
+def test_spectrum_grid_solves_are_seen():
     # the tracer patches scipy.sparse.linalg.eigs on its module, so ptqm
     # must look the solver up there at call time
-    tracing = load_tracing(monkeypatch)
+    tracing = load_benchmark_module("tracing")
     tracer = tracing.Tracer()
     tracer.install()
     try:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,7 +16,7 @@ from ptqm.errors import InvalidInput, NumericalFailure
 from ptqm.linalg import matrix_exponential
 from ptqm.metric import cpt_system
 
-from conftest import cpt_inner_product, is_self_adjoint_wrt
+from conftest import cpt_inner_product, is_self_adjoint_wrt, oracles
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -308,6 +309,28 @@ class TestCheckNearExceptionalPoint:
         assert len(calls) == 1 and np.array_equal(calls[0], H)
 
 
+def exact_norms(r, s, theta, times):
+    """(norm_dirac, norm_cpt) of e^{-iHt} (1, 0) at each of ``times``, at 40
+    digits from the closed-form propagator at the float parameters:
+    e^{-iHt} = e^{-i t r cos(theta)} (cos(w t) 1 - i sin(w t) / w K) with
+    K = H - r cos(theta) 1, w = s cos(alpha), whose phase both norms drop,
+    and eta = sec(alpha) 1 + tan(alpha) sigma_2."""
+    with mpmath.workdps(40):
+        r, s, theta = map(mpmath.mpf, (r, s, theta))
+        x = r * mpmath.sin(theta) / s
+        cos_alpha = mpmath.sqrt(1 - x * x)
+        sec, tan, w = 1 / cos_alpha, x / cos_alpha, s * cos_alpha
+        K0, K1 = 1j * r * mpmath.sin(theta), s  # K (1, 0)
+        norms = []
+        for t in times:
+            c, sinc = mpmath.cos(w * t), mpmath.sin(w * t) / w
+            a, b = c - 1j * sinc * K0, -1j * sinc * K1
+            eta_psi = (sec * a - 1j * tan * b, 1j * tan * a + sec * b)
+            cpt = mpmath.conj(a) * eta_psi[0] + mpmath.conj(b) * eta_psi[1]
+            norms.append((mpmath.sqrt(abs(a) ** 2 + abs(b) ** 2), mpmath.sqrt(cpt.real)))
+        return np.array(norms, dtype=float)
+
+
 class TestEvolve:
     def test_cpt_norm_conserved_dirac_not(self, capsys):
         code, out = run_cli(
@@ -361,6 +384,26 @@ class TestEvolve:
         argv = ["evolve", "--r", str(r), "--s", str(s), "--theta", str(theta),
                 "--t-max", str(t_max), "--steps", str(steps), "--psi0", "0.6,0.1,-0.3,0.7"]
         assert run_cli(capsys, argv) == (0, "\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("r, s, theta", [
+        (1.0, 1.0, np.pi / 6), OTHER,
+        *(oracles.near_ep_params(d) for d in (1e-3, 1e-6, 1e-9)),
+    ], ids=["reference", "other", "ep-1e-3", "ep-1e-6", "ep-1e-9"])
+    def test_norms_match_exact_propagator(self, capsys, r, s, theta):
+        # measured: Dirac norms within 2.4e-14 and CPT norms within
+        # 9.7 eps kappa(eta), up to kappa = 2e9 at d = 1e-9
+        argv = ["evolve", "--r", repr(r), "--s", repr(s), "--theta", repr(theta),
+                "--t-max", "12", "--steps", "200"]
+        code, out = run_cli(capsys, argv)
+        assert code == 0
+        rows = np.array([[float(x) for x in ln.split(",")] for ln in out.split("\n")[1:-1]])
+        times = np.linspace(0.0, 12.0, 200)
+        np.testing.assert_allclose(rows[:, 0], times, rtol=1e-14, atol=0)
+        exact = exact_norms(r, s, theta, times)
+        error = np.abs(rows[:, 1:] / exact - 1).max(axis=0)
+        kappa = oracles.two_level_eta_cond(r, s, theta)
+        assert error[0] <= 1e-13
+        assert error[1] <= 16 * np.finfo(float).eps * kappa
 
 
 class TestSpectrum:

@@ -22,35 +22,50 @@ from ptqm.errors import (
     PseudoHermiticityViolated,
 )
 from ptqm.linalg import DEFAULT_TOL, eig, matrix_exponential, relative_gap, time_chunks
-from ptqm.metric import Metric, metric_from_biorthonormal, metric_from_CPT, pt_normalize
+from ptqm.metric import (
+    Metric,
+    cpt_system,
+    metric_from_biorthonormal,
+    metric_from_CPT,
+    pt_normalize,
+)
 from ptqm.two_level import (
     PARITY,
     SIGMA_0,
     SIGMA_1,
     SIGMA_2,
     SIGMA_3,
-    C_closed_form,
     S_mu,
     TwoLevelParams,
-    bender_family,
     bender_return_period,
     build_H,
-    eta_closed_form,
-    h_closed_form,
-    heisenberg_S2_closed_form,
 )
 
-from conftest import is_self_adjoint_wrt, pt_symmetric_system, random_valid_params
+from conftest import (
+    bender_family,
+    heisenberg_S2,
+    is_self_adjoint_wrt,
+    oracles,
+    random_valid_params,
+    two_level_exact,
+)
 
 REFERENCE = TwoLevelParams(1.0, 1.0, np.pi / 6)
 PAULI = [SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3]
 
 
 def reference_setup(p):
-    H = build_H(p)
-    C = C_closed_form(p)
-    metric = Metric(eta_closed_form(p))
-    return H, C, metric
+    C, eta, _ = two_level_exact(p)
+    return build_H(p), C, Metric(eta)
+
+
+def large_n_case(n, rng, eps=0.2):
+    """(H, P, C, metric, O) of the oracle's ``LargeN``, O its exact
+    symmetric, CPT-invariant observable; C and the metric, which
+    consistency_demo takes as inputs, are built from H by ptqm."""
+    system = oracles.LargeN(n, rng, eps)
+    _, C, metric = cpt_system(system.H, system.P)
+    return system.H, system.P, C, metric, system.observable(rng)
 
 
 class TestBuildEquivalence:
@@ -68,7 +83,7 @@ class TestBuildEquivalence:
             p = random_valid_params(rng)
             H, _, metric = reference_setup(p)
             pair = build_equivalence(H, metric)
-            np.testing.assert_allclose(pair.h, h_closed_form(p), atol=1e-9)
+            np.testing.assert_allclose(pair.h, two_level_exact(p)[2], atol=1e-9)
 
     def test_spectrum_preserved(self, rng):
         for _ in range(10):
@@ -95,14 +110,14 @@ class TestBuildEquivalencePT:
             p = random_valid_params(rng)
             pair = build_equivalence_pt(build_H(p), PARITY)
             np.testing.assert_allclose(
-                pair.U.conj().T @ pair.U, eta_closed_form(p), atol=1e-9
+                pair.U.conj().T @ pair.U, two_level_exact(p)[1], atol=1e-9
             )
 
     def test_h_diagonal(self, rng):
         for _ in range(10):
             p = random_valid_params(rng)
             pair = build_equivalence_pt(build_H(p), PARITY)
-            np.testing.assert_allclose(pair.h, h_closed_form(p), atol=1e-9)
+            np.testing.assert_allclose(pair.h, two_level_exact(p)[2], atol=1e-9)
 
     def test_pull_backs_match_closed_forms(self, rng):
         for _ in range(25):
@@ -114,6 +129,34 @@ class TestBuildEquivalencePT:
                     S_mu(p, mu),
                     atol=1e-9,
                 )
+
+
+@pytest.mark.parametrize("eps", [0.2, 1, 2, 3, 4])
+@pytest.mark.parametrize("n", [4, 8, 32, 64])
+def test_chain_matches_exact_large_n(n, eps, rng):
+    # LargeN knows eta = expm(-2 i eps K) with kappa(eta) = e^{4 eps}, so
+    # C = eta^T P, and the spectrum 1..n, which h holds descending.  Over
+    # five seeds the worst error / (n eps kappa) was 2.7 for eta, C and
+    # U^dagger U, and the worst diag(h) error / (n^2 eps kappa) 0.23.  At
+    # eps = 4 a seed may be refused, so far as MetricNotPositive, a wrong
+    # cause for a positive eta; h's off-diagonal is not gated, as it grows
+    # like kappa^1.5
+    system = oracles.LargeN(n, rng, eps)
+    scale = n * np.finfo(float).eps * np.exp(4 * eps)
+    try:
+        _, C, metric = cpt_system(system.H, system.P)
+        pair = build_equivalence(system.H, metric)
+    except NumericalFailure:
+        assert eps >= 4
+        return
+
+    def error(A, exact):
+        return np.linalg.norm(A - exact) / np.linalg.norm(exact)
+
+    assert error(metric.eta, system.eta) <= 8 * scale
+    assert error(C, system.eta.T @ system.P) <= 8 * scale
+    assert error(pair.U.conj().T @ pair.U, system.eta) <= 8 * scale
+    assert np.abs(np.diag(pair.h) - system.spectrum[::-1]).max() <= n * scale
 
 
 class TestPullBack:
@@ -167,7 +210,7 @@ class TestHeisenberg:
             t = rng.uniform(0.0, 10.0)
             np.testing.assert_allclose(
                 heisenberg_evolve(H, S_mu(p, 2), t),
-                heisenberg_S2_closed_form(p, t),
+                heisenberg_S2(p, t),
                 atol=1e-9,
             )
 
@@ -254,7 +297,7 @@ class TestConsistencyDemo:
 
     def test_chunked_large_n_matches_per_time_reference(self, rng):
         # n = 64 evolves 16 times per stack: 37 times leave a partial chunk
-        H, P, C, metric, O = pt_symmetric_system(64, rng)
+        H, P, C, metric, O = large_n_case(64, rng)
         times = np.linspace(0.0, 3.0, 37)
         rows = consistency_demo(H, C, P, metric, O, times)
         reference = []
@@ -286,9 +329,17 @@ class TestConsistencyDemo:
             consistency_demo(H, C, PARITY, metric, SIGMA_2, [0.0, 1.0])
 
     def test_undecidable_t0_test_refused_as_ill_conditioned(self, rng):
-        # at kappa(eta) = e^16 the built C and O disagree by 3.6e-9 > tol
-        # through rounding alone: not an invalid observable
-        H, P, C, metric, O = pt_symmetric_system(4, rng, 4)
+        # at kappa(eta) = e^16 the built C and O = Phi o Phi^T, with Phi the
+        # built PT-normalized vectors, disagree by 5.2e-10 > tol through
+        # rounding alone: not an invalid observable.  LargeN's exact O
+        # fails the eta test at t = 1 on this seed instead
+        system = oracles.LargeN(4, rng, 4)
+        H, P = system.H, system.P
+        Phi, C, metric = cpt_system(H, P)
+        signs = np.sign((Phi * Phi).sum(axis=0).real)  # phi^T phi, the PT norm
+        B = rng.normal(size=(4, 4))
+        o = (B + B.T) * (signs[:, None] == signs[None, :])
+        O = Phi @ (o / np.linalg.norm(o, 2)) @ Phi.T
         assert not check_observable_bender(O, C, P).passed
         with pytest.raises(IllConditioned, match="cannot decide"):
             consistency_demo(H, C, P, metric, O, [0.0, 1.0])
@@ -326,8 +377,8 @@ class TestConsistencyDemo:
         # residuals equal the per-time relative_gap(eta O_t, O_t^dagger eta)
         # bit for bit, under the CPT metric (every row true) and under a
         # non-CPT metric (every row false); n = 64 holds 16 times per stack.
-        # At n = 2 the O of pt_symmetric_system commutes with H, so the 2x2
-        # cases are the paper's model and sigma_1 under diag(1, 5)
+        # At n = 2 the O of LargeN commutes with H, so the 2x2 cases are
+        # the paper's model and sigma_1 under diag(1, 5)
         if n == 2:
             H, C, metric = reference_setup(REFERENCE)
             I = np.eye(2)
@@ -336,7 +387,7 @@ class TestConsistencyDemo:
                 (np.diag([1.0, 2.0]), I, I, Metric(np.diag([1.0, 5.0])), SIGMA_1),
             ]
         else:
-            H, P, C, metric, O = pt_symmetric_system(n, rng)
+            H, P, C, metric, O = large_n_case(n, rng)
             L = eig(H).left_vectors
             weighted = Metric((L * np.linspace(1.0, 2.0, n)) @ L.conj().T)
             cases = [(H, C, P, metric, O), (H, C, P, weighted, O)]
@@ -374,7 +425,7 @@ class TestConsistencyDemo:
     ):
         # rows 3 and 5 of the second 16-time stack at n = 64 are spoilt
         # after evolution: the refusal names the t of row 16 + 3
-        H, P, C, metric, O = pt_symmetric_system(64, rng)
+        H, P, C, metric, O = large_n_case(64, rng)
         times = np.linspace(0.0, 3.0, 40)
         evolve = equivalence.heisenberg_evolve
         calls = []
@@ -394,15 +445,17 @@ class TestConsistencyDemo:
     @pytest.mark.parametrize("eps", [0.2, 1, 2, 3, 4, 5])
     @pytest.mark.parametrize("n", [4, 8, 32])
     def test_conditioning_ladder(self, n, eps, rng):
-        # kappa(eta) = e^{4 eps} exactly, on a unit-gap real spectrum far
-        # from any EP: right answers up to eps = 3 (kappa = 1.6e5), where
-        # dense e^{+-iHt} answered (8, 3) wrongly; beyond, right answers or
-        # a numerical failure
+        # kappa(eta) = e^{4 eps} exactly, on the unit-gap real spectrum
+        # 1..n far from any EP: right answers while the rounding scale
+        # n eps kappa of the eta test stays below tol, up to eps = 2
+        # (kappa = 3.0e3); beyond, right answers or a numerical failure.
+        # From eps = 3 (kappa = 1.6e5) rounding fails the eta test on most
+        # seeds at n = 32, and some at n = 4 and 8
         try:
-            H, P, C, metric, O = pt_symmetric_system(n, rng, eps)
+            H, P, C, metric, O = large_n_case(n, rng, eps)
             rows = consistency_demo(H, C, P, metric, O, np.linspace(0.0, 3.0, 16))
         except NumericalFailure:
-            assert eps > 3
+            assert n * np.finfo(float).eps * np.exp(4 * eps) > DEFAULT_TOL
             return
         assert all(r.eta_hermitian for r in rows)
         assert rows[0].symmetric and rows[0].cpt_invariant
@@ -415,7 +468,7 @@ class TestConsistencyDemo:
         if n == 2:
             (H, C, metric), P, O = reference_setup(REFERENCE), PARITY, S_mu(REFERENCE, 2)
         else:
-            H, P, C, metric, O = pt_symmetric_system(n, rng)
+            H, P, C, metric, O = large_n_case(n, rng)
         arguments = []
 
         def recording(M, times=None):

@@ -12,7 +12,7 @@ from ptqm.linalg import (
 )
 from ptqm.two_level import SIGMA_1, SIGMA_3, TwoLevelParams, build_H
 
-from conftest import is_self_adjoint_wrt, random_valid_params
+from conftest import is_self_adjoint_wrt, random_valid_params, two_level_exact
 
 
 class TestEig:
@@ -199,10 +199,8 @@ class TestSelfAdjointWrt:
         assert not is_self_adjoint_wrt(H, np.eye(2))
 
     def test_two_level_cpt_metric(self):
-        from ptqm.two_level import eta_closed_form
-
         p = TwoLevelParams(1.0, 1.0, np.pi / 6)
-        assert is_self_adjoint_wrt(build_H(p), eta_closed_form(p))
+        assert is_self_adjoint_wrt(build_H(p), two_level_exact(p)[1])
 
     def test_agrees_with_entrywise_hermiticity(self, rng):
         for _ in range(20):

@@ -26,18 +26,17 @@ from ptqm.two_level import (
     PARITY,
     SIGMA_1,
     SIGMA_3,
-    C_closed_form,
     TwoLevelParams,
     build_H,
-    eta_closed_form,
 )
 
 from conftest import (
     cpt_inner_product,
     is_self_adjoint_wrt,
+    oracles,
     pt_inner_product,
-    pt_symmetric_system,
     random_valid_params,
+    two_level_exact,
 )
 
 REFERENCE = TwoLevelParams(1.0, 1.0, np.pi / 6)
@@ -98,11 +97,11 @@ class TestPTNormalize:
 
     def test_returns_matrix_of_pt_invariant_columns(self, rng):
         v = np.array([1 - 1j, 0.5, 0.5, 1 + 1j])
-        H64, P64, *_ = pt_symmetric_system(64, rng)
+        large = oracles.LargeN(64, rng)
         for es, P, shape in (
             (eig(build_H(REFERENCE)), PARITY, (2, 2)),
             (columns_system(v), FLIP4, (4, 1)),
-            (eig(H64), P64, (64, 64)),
+            (eig(large.H), large.P, (64, 64)),
         ):
             Phi, _ = pt_normalize(es, P)
             assert isinstance(Phi, np.ndarray) and Phi.shape == shape
@@ -157,7 +156,8 @@ class TestPTNormalize:
         assert signs == [1]
 
     def test_matches_pt_inner_product_at_n64(self, rng):
-        H, P, *_ = pt_symmetric_system(64, rng)
+        large = oracles.LargeN(64, rng)
+        H, P = large.H, large.P
         Phi, signs = pt_normalize(eig(H), P)
         assert sorted(set(signs)) == [-1, 1]
         for phi, sign in zip(Phi.T, signs):
@@ -192,7 +192,7 @@ class TestBuildC:
         for _ in range(30):
             p = random_valid_params(rng)
             np.testing.assert_allclose(
-                model_C(p), C_closed_form(p), atol=1e-10
+                model_C(p), two_level_exact(p)[0], atol=1e-10
             )
 
     def test_reference_value(self):
@@ -230,8 +230,8 @@ class TestBuildC:
     def test_columns_of_a_subspace(self, rng):
         # phi_m^T phi_n = sign_n delta_mn, so C_k = sum_{n < k} phi_n phi_n^T
         # acts as the sign on the k columns it is built from and as 0 on the rest
-        H, P, *_ = pt_symmetric_system(64, rng)
-        Phi, signs = pt_normalize(eig(H), P)
+        large = oracles.LargeN(64, rng)
+        Phi, signs = pt_normalize(eig(large.H), large.P)
         k = 6
         C_k = build_C(Phi[:, :k])
         assert C_k.shape == (64, 64)
@@ -250,7 +250,7 @@ class TestMetricFromCPT:
         for _ in range(30):
             p = random_valid_params(rng)
             metric = metric_from_CPT(model_C(p), PARITY)
-            np.testing.assert_allclose(metric.eta, eta_closed_form(p), atol=1e-10)
+            np.testing.assert_allclose(metric.eta, two_level_exact(p)[1], atol=1e-10)
 
     def test_reference_eigenvalues(self):
         metric = metric_from_CPT(model_C(REFERENCE), PARITY)
@@ -269,10 +269,9 @@ class TestMetricFromCPT:
         # C P is Hermitian too but is the metric of the wrong sign of alpha
         C = model_C(REFERENCE)
         eta_swapped = C @ PARITY
-        assert not np.allclose(eta_swapped, eta_closed_form(REFERENCE), atol=1e-6)
-        np.testing.assert_allclose(
-            PARITY.T @ C.T, eta_closed_form(REFERENCE), atol=1e-12
-        )
+        eta = two_level_exact(REFERENCE)[1]
+        assert not np.allclose(eta_swapped, eta, atol=1e-6)
+        np.testing.assert_allclose(PARITY.T @ C.T, eta, atol=1e-12)
 
     def test_non_positive_rejected(self):
         with pytest.raises(MetricNotPositive):
@@ -321,7 +320,7 @@ class TestMetricFromBiorthonormal:
         # a C-free cross-check of P^T C^T: eta_b from the left vectors of
         # the PT-normalized Phi (eig's own vectors are scaled differently)
         systems = [(build_H(REFERENCE), PARITY)]
-        systems += [pt_symmetric_system(n, rng)[:2] for n in (8, 64)]
+        systems += [(large.H, large.P) for large in (oracles.LargeN(n, rng) for n in (8, 64))]
         for H, P in systems:
             es = eig(H)
             Phi, _ = pt_normalize(es, P)
@@ -347,7 +346,7 @@ class TestMetricValidation:
             Metric(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_accepts_valid(self):
-        m = Metric(eta_closed_form(REFERENCE))
+        m = Metric(two_level_exact(REFERENCE)[1])
         assert m.dim == 2
 
 

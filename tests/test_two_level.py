@@ -3,25 +3,22 @@ import pytest
 
 from ptqm.errors import InvalidParams
 from ptqm.linalg import eig
+from ptqm.metric import cpt_system
 from ptqm.two_level import (
     PARITY,
     SIGMA_0,
     SIGMA_1,
     SIGMA_2,
     SIGMA_3,
-    C_closed_form,
     S_mu,
     TwoLevelParams,
     U_printed,
-    bender_family,
     bender_return_period,
     build_H,
     eigenvalues_closed_form,
-    eta_closed_form,
-    h_closed_form,
 )
 
-from conftest import is_self_adjoint_wrt, random_valid_params
+from conftest import bender_family, is_self_adjoint_wrt, random_valid_params, two_level_exact
 
 REFERENCE = TwoLevelParams(1.0, 1.0, np.pi / 6)
 
@@ -69,46 +66,24 @@ class TestClosedForms:
 
     def test_hermitian_limit(self):
         # theta = 0 gives an ordinary real symmetric matrix: alpha = 0,
-        # C -> P, eta -> identity
-        p = TwoLevelParams(1.3, 0.7, 0.0)
-        np.testing.assert_allclose(C_closed_form(p), PARITY)
-        np.testing.assert_allclose(eta_closed_form(p), SIGMA_0)
+        # and the C and eta built from it are P and the identity
+        _, C, metric = cpt_system(build_H(TwoLevelParams(1.3, 0.7, 0.0)), PARITY)
+        np.testing.assert_allclose(C, PARITY, atol=1e-15)
+        np.testing.assert_allclose(metric.eta, SIGMA_0, atol=1e-15)
 
     def test_eta_self_adjointness(self, rng):
         for _ in range(20):
             p = random_valid_params(rng)
-            assert is_self_adjoint_wrt(build_H(p), eta_closed_form(p))
+            assert is_self_adjoint_wrt(build_H(p), two_level_exact(p)[1])
 
     def test_h_matches_spectrum(self, rng):
         for _ in range(20):
             p = random_valid_params(rng)
             np.testing.assert_allclose(
-                np.diag(h_closed_form(p)).real,
+                np.diag(two_level_exact(p)[2]),
                 eig(build_H(p)).eigenvalues.real,
                 atol=1e-12,
             )
-
-
-class TestChargeConjugation:
-    def test_involution_and_commutation(self, rng):
-        for _ in range(20):
-            p = random_valid_params(rng)
-            C, H = C_closed_form(p), build_H(p)
-            np.testing.assert_allclose(C @ C, SIGMA_0, atol=1e-13)
-            np.testing.assert_allclose(C @ H - H @ C, 0.0, atol=1e-13)
-
-    def test_pt_symmetric_operator(self, rng):
-        # C itself commutes with the antilinear PT map
-        for _ in range(10):
-            p = random_valid_params(rng)
-            C = C_closed_form(p)
-            np.testing.assert_allclose(
-                C @ PARITY, PARITY @ C.conj(), atol=1e-13
-            )
-
-    def test_reduces_to_parity_when_hermitian(self):
-        p = TwoLevelParams(0.9, 1.1, 0.0)
-        np.testing.assert_allclose(C_closed_form(p), PARITY)
 
 
 class TestObservables:
@@ -136,12 +111,12 @@ class TestObservables:
     def test_S3_is_half_C(self, rng):
         for _ in range(10):
             p = random_valid_params(rng)
-            np.testing.assert_allclose(S_mu(p, 3), 0.5 * C_closed_form(p), atol=1e-14)
+            np.testing.assert_allclose(S_mu(p, 3), 0.5 * two_level_exact(p)[0], atol=1e-14)
 
     def test_eta_self_adjoint(self, rng):
         for _ in range(10):
             p = random_valid_params(rng)
-            eta = eta_closed_form(p)
+            eta = two_level_exact(p)[1]
             for mu in range(4):
                 assert is_self_adjoint_wrt(S_mu(p, mu), eta)
 
@@ -187,7 +162,7 @@ class TestPrintedMap:
         # the verbatim matrix fails U^dagger U = eta by a finite amount
         U = U_printed(REFERENCE)
         resid = np.linalg.norm(
-            U.conj().T @ U - eta_closed_form(REFERENCE), ord="fro"
+            U.conj().T @ U - two_level_exact(REFERENCE)[1], ord="fro"
         )
         assert resid == pytest.approx(0.4226, abs=5e-4)
 
